@@ -203,7 +203,7 @@ pub(crate) struct DpScratch {
     pool: Vec<Vec<DpCand>>,
     /// Fused-merge row buffer.
     rows: Vec<MergeRow>,
-    /// Dominance frontier: (cap ascending, prefix-max q).
+    /// Lower-count dominance staircase: cap ascending, q strictly ascending.
     frontier: Vec<(f64, f64)>,
     /// Per-buffer best-per-class tables.
     best: Vec<Vec<Option<BestBuf>>>,
@@ -325,9 +325,14 @@ fn prune(cands: &mut Vec<DpCand>, cfg: &DpConfig, scratch: &mut DpScratch) {
 }
 
 /// Paper pruning as an in-place sweep: sort by (parity, count, cap, −q)
-/// and compact, carrying the cumulative lower-count frontier per parity.
+/// and compact, carrying the cumulative lower-count staircase per parity.
 /// A candidate survives its class iff its q strictly exceeds everything
-/// cheaper in-class and beats the frontier of lower counts.
+/// cheaper in-class and beats the staircase's best q at its cap.
+///
+/// Rows are cap-ascending within a class, so one forward pointer over the
+/// staircase answers every query of the class, and the class survivors
+/// (cap ascending, q strictly ascending) fold in with one linear merge:
+/// O(F + S) per class for F staircase steps and S survivors.
 fn sweep_prune<R: Row>(items: &mut Vec<R>, frontier: &mut Vec<(f64, f64)>) {
     if items.len() <= 1 {
         return;
@@ -354,13 +359,21 @@ fn sweep_prune<R: Row>(items: &mut Vec<R>, frontier: &mut Vec<(f64, f64)>) {
         }
         let class_start = write;
         let mut best_q = f64::NEG_INFINITY;
+        // frontier[..step] holds the steps with cap ≤ the current row's
+        // cap; stair_q is the last one's q, i.e. their max.
+        let mut step = 0;
+        let mut stair_q = f64::NEG_INFINITY;
         while i < n {
             let r = items[i];
             let c = *r.cand();
             if c.count != count || c.parity != parity {
                 break;
             }
-            let dominated = c.q <= best_q || frontier_max_q(frontier, c.cap) >= c.q;
+            while step < frontier.len() && frontier[step].0 <= c.cap {
+                stair_q = frontier[step].1;
+                step += 1;
+            }
+            let dominated = c.q <= best_q || stair_q >= c.q;
             if !dominated {
                 best_q = c.q;
                 items[write] = r;
@@ -368,13 +381,59 @@ fn sweep_prune<R: Row>(items: &mut Vec<R>, frontier: &mut Vec<(f64, f64)>) {
             }
             i += 1;
         }
-        // Class survivors join the frontier for higher counts.
-        for r in &items[class_start..write] {
-            let c = r.cand();
-            frontier_insert(frontier, c.cap, c.q);
-        }
+        // Class survivors join the staircase for higher counts.
+        merge_staircase(frontier, &items[class_start..write]);
     }
     items.truncate(write);
+}
+
+/// Folds one class's survivors (cap ascending, q strictly ascending) into
+/// the staircase (the same order) in place: a backward two-way merge into
+/// the grown tail, then a forward pass over the rewritten suffix keeping
+/// only the steps that raise the running max q. Afterwards the staircase
+/// answers `max{q : cap ≤ limit}` over every point folded in so far as
+/// the q of its last step with `cap ≤ limit`.
+///
+/// On equal caps the survivor is placed first. A survivor beats the
+/// staircase at its cap, so the step behind it is dropped and the
+/// staircase keeps one step per cap; equal caps are common, since every
+/// candidate just above a buffer of one type carries that buffer's input
+/// cap.
+fn merge_staircase<R: Row>(frontier: &mut Vec<(f64, f64)>, survivors: &[R]) {
+    if survivors.is_empty() {
+        return;
+    }
+    let mut a = frontier.len();
+    let mut b = survivors.len();
+    frontier.resize(a + b, (0.0, 0.0));
+    let mut w = a + b;
+    while b > 0 {
+        let s = survivors[b - 1].cand();
+        w -= 1;
+        if a > 0 && frontier[a - 1].0 >= s.cap {
+            a -= 1;
+            frontier[w] = frontier[a];
+        } else {
+            b -= 1;
+            frontier[w] = (s.cap, s.q);
+        }
+    }
+    // frontier[..a] was never moved and is still a staircase.
+    let mut keep = a;
+    let mut run = if a == 0 {
+        f64::NEG_INFINITY
+    } else {
+        frontier[a - 1].1
+    };
+    for j in a..frontier.len() {
+        let step = frontier[j];
+        if step.1 > run {
+            run = step.1;
+            frontier[keep] = step;
+            keep += 1;
+        }
+    }
+    frontier.truncate(keep);
 }
 
 /// Pairwise dominance over every tracked dimension (conservative /
@@ -449,51 +508,6 @@ fn prune_pairwise(
         cands[w] = cands[ki as usize];
     }
     cands.truncate(keep.len());
-}
-
-/// Max `q` among frontier entries with `cap ≤ limit` (−∞ if none).
-pub(crate) fn frontier_max_q(frontier: &[(f64, f64)], limit: f64) -> f64 {
-    // frontier is sorted by cap ascending with strictly increasing prefix
-    // max q (we store the running max directly).
-    match frontier.binary_search_by(|&(cap, _)| cap.partial_cmp(&limit).expect("finite caps")) {
-        Ok(mut idx) => {
-            // Multiple equal caps collapse on insert; step to the entry.
-            while idx + 1 < frontier.len() && frontier[idx + 1].0 <= limit {
-                idx += 1;
-            }
-            frontier[idx].1
-        }
-        Err(0) => f64::NEG_INFINITY,
-        Err(idx) => frontier[idx - 1].1,
-    }
-}
-
-/// Inserts `(cap, q)` keeping caps ascending and q the running prefix max.
-pub(crate) fn frontier_insert(frontier: &mut Vec<(f64, f64)>, cap: f64, q: f64) {
-    let pos = frontier
-        .binary_search_by(|&(c, _)| c.partial_cmp(&cap).expect("finite caps"))
-        .unwrap_or_else(|e| e);
-    // q must beat the prefix max to matter.
-    let prefix = if pos == 0 {
-        f64::NEG_INFINITY
-    } else {
-        frontier[pos - 1].1
-    };
-    if q <= prefix {
-        return;
-    }
-    frontier.insert(pos, (cap, q.max(prefix)));
-    // Fix running max downstream and drop obsolete entries.
-    let mut run = q.max(prefix);
-    let mut j = pos + 1;
-    while j < frontier.len() {
-        if frontier[j].1 <= run {
-            frontier.remove(j);
-        } else {
-            run = frontier[j].1;
-            j += 1;
-        }
-    }
 }
 
 /// Applies the parent wire of a node to every candidate in place (paper
@@ -1588,16 +1602,105 @@ mod tests {
         assert!((v[2].cap - 0.5).abs() < 1e-12);
     }
 
+    /// A merge row whose provenance `(left, 1000 + left)` names it.
+    fn merge_row(parity: bool, count: usize, cap: f64, q: f64, left: u32) -> MergeRow {
+        let mut c = cand(cap, q, count);
+        c.parity = parity;
+        MergeRow {
+            cand: c,
+            left,
+            right: 1000 + left,
+        }
+    }
+
+    /// Cap grid for the sweep tests: `-0.0` and `0.0` first, then steps of
+    /// 0.5, so equal caps (signed zeros included) recur across classes.
+    fn grid_cap(g: u8) -> f64 {
+        match g {
+            0 => -0.0,
+            g => f64::from(g - 1) * 0.5,
+        }
+    }
+
+    /// Brute-force paper pruning: sort stably by (parity, count, cap, −q),
+    /// then keep a row iff no earlier-kept row of the same parity has
+    /// count ≤, cap ≤ and q ≥. Returns the survivors' provenance in order.
+    fn sweep_oracle(rows: &[MergeRow]) -> Vec<(u32, u32)> {
+        let mut sorted = rows.to_vec();
+        sorted.sort_by(|a, b| {
+            let (a, b) = (&a.cand, &b.cand);
+            a.parity
+                .cmp(&b.parity)
+                .then(a.count.cmp(&b.count))
+                .then(a.cap.partial_cmp(&b.cap).unwrap())
+                .then(b.q.partial_cmp(&a.q).unwrap())
+        });
+        let mut kept: Vec<MergeRow> = Vec::new();
+        for r in sorted {
+            let c = r.cand;
+            let dominated = kept.iter().any(|k| {
+                k.cand.parity == c.parity
+                    && k.cand.count <= c.count
+                    && k.cand.cap <= c.cap
+                    && k.cand.q >= c.q
+            });
+            if !dominated {
+                kept.push(r);
+            }
+        }
+        kept.iter().map(|r| (r.left, r.right)).collect()
+    }
+
     #[test]
-    fn frontier_queries() {
-        let mut f: Vec<(f64, f64)> = Vec::new();
-        frontier_insert(&mut f, 2.0, 5.0);
-        frontier_insert(&mut f, 1.0, 3.0);
-        frontier_insert(&mut f, 3.0, 4.0); // obsolete: q below prefix max
-        assert_eq!(frontier_max_q(&f, 0.5), f64::NEG_INFINITY);
-        assert!((frontier_max_q(&f, 1.0) - 3.0).abs() < 1e-12);
-        assert!((frontier_max_q(&f, 2.5) - 5.0).abs() < 1e-12);
-        assert!((frontier_max_q(&f, 10.0) - 5.0).abs() < 1e-12);
+    fn sweep_merges_survivors_into_staircase_at_equal_caps() {
+        let rows = [
+            // count 0 builds the staircase (-0,.5) (1,1) (2,3) (3,5).
+            (false, 0, 1.0, 1.0),
+            (false, 0, 2.0, 3.0),
+            (false, 0, 3.0, 5.0),
+            (false, 0, -0.0, 0.5),
+            // count 1: the 0.0 cap meets the -0.0 step and is dominated;
+            // survivors (1,2) (2,4) (3,6) land on the staircase's caps and
+            // replace those steps.
+            (false, 1, 0.0, 0.5),
+            (false, 1, 1.0, 2.0),
+            (false, 1, 2.0, 4.0),
+            (false, 1, 2.0, 2.5),
+            (false, 1, 3.0, 4.5),
+            (false, 1, 3.0, 6.0),
+            // count 2 sees the merged staircase: ties with its steps lose.
+            (false, 2, 1.0, 2.0),
+            (false, 2, 1.0, 2.5),
+            (false, 2, 2.0, 4.0),
+            (false, 2, 2.5, 4.5),
+            (false, 2, 3.0, 6.0),
+            // count 3 keeps nothing.
+            (false, 3, 3.0, 5.5),
+            (false, 3, 1.0, 2.5),
+            // the other parity starts from an empty staircase; q 0.0
+            // and -0.0 tie, so the first in input order wins.
+            (true, 1, 3.0, 0.0),
+            (true, 1, 3.0, -0.0),
+        ];
+        let mut v: Vec<MergeRow> = rows
+            .iter()
+            .enumerate()
+            .map(|(i, &(parity, count, cap, q))| merge_row(parity, count, cap, q, i as u32))
+            .collect();
+        let expect = sweep_oracle(&v);
+        let mut frontier = Vec::new();
+        sweep_prune(&mut v, &mut frontier);
+        let lefts: Vec<u32> = v.iter().map(|r| r.left).collect();
+        assert_eq!(lefts, [3, 0, 1, 2, 5, 6, 9, 11, 13, 17]);
+        let got: Vec<(u32, u32)> = v.iter().map(|r| (r.left, r.right)).collect();
+        assert_eq!(got, expect);
+
+        // The count-1 fold on its own: equal-cap steps give way to the
+        // survivors, one step per cap.
+        let mut stairs = vec![(-0.0, 0.5), (1.0, 1.0), (2.0, 3.0), (3.0, 5.0)];
+        let survivors = [cand(1.0, 2.0, 1), cand(2.0, 4.0, 1), cand(3.0, 6.0, 1)];
+        merge_staircase(&mut stairs, &survivors);
+        assert_eq!(stairs, [(-0.0, 0.5), (1.0, 2.0), (2.0, 4.0), (3.0, 6.0)]);
     }
 
     /// Dominance as each pruning mode defines it (weak form: ties count
@@ -2003,33 +2106,35 @@ mod tests {
             }
         }
 
-        /// The incremental frontier answers every query exactly like a flat
-        /// list of all inserted points scanned in O(n).
+        /// The linear staircase sweep keeps exactly the rows a brute-force
+        /// O(n²) dominance scan keeps, in the same order: duplicate
+        /// (cap, q) rows, caps shared across classes, both parities,
+        /// fully dominated classes and `±0.0` caps all come up.
         #[test]
-        fn prop_frontier_matches_naive_oracle(
-            ops in prop::collection::vec((0u8..12, 0u8..12, prop::bool::ANY), 1..60)
+        fn prop_sweep_prune_matches_quadratic_oracle(
+            grid in prop::collection::vec((prop::bool::ANY, 0usize..4, 0u8..6, 0u8..6), 0..40),
+            dups in prop::collection::vec(0usize..1000, 0..8),
         ) {
-            let mut frontier: Vec<(f64, f64)> = Vec::new();
-            let mut naive: Vec<(f64, f64)> = Vec::new();
-            for (cap_g, q_g, is_insert) in ops {
-                let cap = f64::from(cap_g) * 0.25;
-                let q = f64::from(q_g) * 0.5 - 2.0;
-                if is_insert {
-                    frontier_insert(&mut frontier, cap, q);
-                    naive.push((cap, q));
-                } else {
-                    let got = frontier_max_q(&frontier, cap);
-                    let expect = naive
-                        .iter()
-                        .filter(|&&(c, _)| c <= cap)
-                        .map(|&(_, q)| q)
-                        .fold(f64::NEG_INFINITY, f64::max);
-                    prop_assert!(
-                        got == expect,
-                        "query at {cap}: frontier says {got}, oracle says {expect}"
-                    );
+            let mut rows: Vec<MergeRow> = grid
+                .iter()
+                .enumerate()
+                .map(|(i, &(parity, count, cap_g, q_g))| {
+                    merge_row(parity, count, grid_cap(cap_g), f64::from(q_g) * 0.5 - 1.0, i as u32)
+                })
+                .collect();
+            if !rows.is_empty() {
+                for d in &dups {
+                    let mut r = rows[d % rows.len()];
+                    r.left = rows.len() as u32;
+                    r.right = 1000 + r.left;
+                    rows.push(r);
                 }
             }
+            let expect = sweep_oracle(&rows);
+            let mut frontier = Vec::new();
+            sweep_prune(&mut rows, &mut frontier);
+            let got: Vec<(u32, u32)> = rows.iter().map(|r| (r.left, r.right)).collect();
+            prop_assert_eq!(got, expect);
         }
     }
 

@@ -258,7 +258,7 @@ fn prune(cands: &mut Vec<DpCand>, cfg: &dp::DpConfig) {
         while i < n && cands[i].count == count && cands[i].parity == parity {
             let c = &cands[i];
             let dominated_in_class = c.q <= best_q;
-            let dominated_cross = dp::frontier_max_q(&frontier, c.cap) >= c.q;
+            let dominated_cross = frontier_max_q(&frontier, c.cap) >= c.q;
             if !dominated_in_class && !dominated_cross {
                 best_q = c.q;
                 class_survivors.push(c.clone());
@@ -266,11 +266,56 @@ fn prune(cands: &mut Vec<DpCand>, cfg: &dp::DpConfig) {
             i += 1;
         }
         for c in &class_survivors {
-            dp::frontier_insert(&mut frontier, c.cap, c.q);
+            frontier_insert(&mut frontier, c.cap, c.q);
         }
         out.extend(class_survivors);
     }
     *cands = out;
+}
+
+/// Max `q` among frontier entries with `cap ≤ limit` (−∞ if none).
+fn frontier_max_q(frontier: &[(f64, f64)], limit: f64) -> f64 {
+    // frontier is sorted by cap ascending with strictly increasing prefix
+    // max q (we store the running max directly).
+    match frontier.binary_search_by(|&(cap, _)| cap.partial_cmp(&limit).expect("finite caps")) {
+        Ok(mut idx) => {
+            // Multiple equal caps collapse on insert; step to the entry.
+            while idx + 1 < frontier.len() && frontier[idx + 1].0 <= limit {
+                idx += 1;
+            }
+            frontier[idx].1
+        }
+        Err(0) => f64::NEG_INFINITY,
+        Err(idx) => frontier[idx - 1].1,
+    }
+}
+
+/// Inserts `(cap, q)` keeping caps ascending and q the running prefix max.
+fn frontier_insert(frontier: &mut Vec<(f64, f64)>, cap: f64, q: f64) {
+    let pos = frontier
+        .binary_search_by(|&(c, _)| c.partial_cmp(&cap).expect("finite caps"))
+        .unwrap_or_else(|e| e);
+    // q must beat the prefix max to matter.
+    let prefix = if pos == 0 {
+        f64::NEG_INFINITY
+    } else {
+        frontier[pos - 1].1
+    };
+    if q <= prefix {
+        return;
+    }
+    frontier.insert(pos, (cap, q.max(prefix)));
+    // Fix running max downstream and drop obsolete entries.
+    let mut run = q.max(prefix);
+    let mut j = pos + 1;
+    while j < frontier.len() {
+        if frontier[j].1 <= run {
+            frontier.remove(j);
+        } else {
+            run = frontier[j].1;
+            j += 1;
+        }
+    }
 }
 
 fn add_wire(c: &DpCand, wire: &Wire, wire_current: f64) -> DpCand {
@@ -493,4 +538,55 @@ fn run_seed(
         return Err(CoreError::NoFeasibleCandidate);
     }
     Ok((reduced, stats))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    #[test]
+    fn frontier_queries() {
+        let mut f: Vec<(f64, f64)> = Vec::new();
+        frontier_insert(&mut f, 2.0, 5.0);
+        frontier_insert(&mut f, 1.0, 3.0);
+        frontier_insert(&mut f, 3.0, 4.0); // obsolete: q below prefix max
+        assert_eq!(frontier_max_q(&f, 0.5), f64::NEG_INFINITY);
+        assert!((frontier_max_q(&f, 1.0) - 3.0).abs() < 1e-12);
+        assert!((frontier_max_q(&f, 2.5) - 5.0).abs() < 1e-12);
+        assert!((frontier_max_q(&f, 10.0) - 5.0).abs() < 1e-12);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The incremental frontier answers every query exactly like a flat
+        /// list of all inserted points scanned in O(n).
+        #[test]
+        fn prop_frontier_matches_naive_oracle(
+            ops in prop::collection::vec((0u8..12, 0u8..12, prop::bool::ANY), 1..60)
+        ) {
+            let mut frontier: Vec<(f64, f64)> = Vec::new();
+            let mut naive: Vec<(f64, f64)> = Vec::new();
+            for (cap_g, q_g, is_insert) in ops {
+                let cap = f64::from(cap_g) * 0.25;
+                let q = f64::from(q_g) * 0.5 - 2.0;
+                if is_insert {
+                    frontier_insert(&mut frontier, cap, q);
+                    naive.push((cap, q));
+                } else {
+                    let got = frontier_max_q(&frontier, cap);
+                    let expect = naive
+                        .iter()
+                        .filter(|&&(c, _)| c <= cap)
+                        .map(|&(_, q)| q)
+                        .fold(f64::NEG_INFINITY, f64::max);
+                    prop_assert!(
+                        got == expect,
+                        "query at {cap}: frontier says {got}, oracle says {expect}"
+                    );
+                }
+            }
+        }
+    }
 }
