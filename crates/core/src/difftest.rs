@@ -19,14 +19,16 @@ use buffopt_buffers::{catalog, BufferLibrary};
 use buffopt_netlist::parse;
 use buffopt_noise::NoiseScenario;
 use buffopt_tree::{segment, Driver, RoutingTree, SinkSpec, Technology, TreeBuilder};
+use buffopt_workload::{scaling_net, ScalingConfig};
 use proptest::prelude::*;
 
 use crate::budget::RunBudget;
-use crate::dp_reference::{run_arena, run_reference, EngineConfig};
+use crate::dp_reference::{run_arena, run_reference, EngineConfig, EngineStats};
 use crate::workspace::DpWorkspace;
 
 /// Runs both engines and asserts identical results (or identical errors).
-/// Returns the shared workspace so corpus loops exercise scratch reuse.
+/// Takes the shared workspace so corpus loops exercise scratch reuse.
+/// Returns the arena engine's stats when both engines succeed.
 fn assert_equiv(
     tree: &RoutingTree,
     scenario: Option<&NoiseScenario>,
@@ -34,7 +36,7 @@ fn assert_equiv(
     cfg: &EngineConfig,
     ws: &mut DpWorkspace,
     label: &str,
-) {
+) -> Option<EngineStats> {
     let budget = RunBudget::default();
     let reference = run_reference(tree, scenario, lib, cfg, &budget);
     let arena = run_arena(tree, scenario, lib, cfg, &budget, ws);
@@ -85,9 +87,11 @@ fn assert_equiv(
                 rstats.merge_products_enumerated + rstats.merge_products_pruned,
                 "{label}: enumerated+pruned no longer conserves the raw merge product"
             );
+            Some(astats)
         }
         (Err(re), Err(ae)) => {
             assert_eq!(re, ae, "{label}: engines failed differently");
+            None
         }
         (Ok((rs, _)), Err(ae)) => {
             panic!(
@@ -191,6 +195,42 @@ fn corpus_nets_all_modes() {
         seen += 1;
     }
     assert!(seen >= 2, "expected the corpus to hold at least two nets");
+}
+
+/// The 64-sink net of the `scaling_dp` benchmark tier (`branch_balance`
+/// 0.5) in the sweep-pruned modes. Its merges emit past the 1024-row
+/// compaction threshold, so the fused merge's emission filter is diffed
+/// against the seed engine at the frontier sizes it exists for.
+#[test]
+fn scaling_net_sweep_modes() {
+    let tree = scaling_net(&ScalingConfig {
+        seed: ScalingConfig::default().seed ^ 64,
+        sinks: 64,
+        branch_balance: 0.5,
+        ..ScalingConfig::default()
+    });
+    let scenario = NoiseScenario::estimation(&tree, 0.7, 7.2e9);
+    let lib = catalog::ibm_like();
+    let mut ws = DpWorkspace::new();
+    for (mode, mut cfg) in modes() {
+        if !matches!(mode, "noise" | "delayopt" | "polarity" | "capped") {
+            continue;
+        }
+        if mode == "capped" {
+            // The matrix's cap of 2 leaves this net noise-infeasible;
+            // 40 is feasible and still binds: its peak merge and peak
+            // candidate list are smaller than the uncapped run's.
+            cfg.max_buffers = Some(40);
+        }
+        let s = cfg.noise.then_some(&scenario);
+        let stats = assert_equiv(&tree, s, &lib, &cfg, &mut ws, &format!("scaling64/{mode}"))
+            .unwrap_or_else(|| panic!("scaling64/{mode}: no feasible solution"));
+        assert!(
+            stats.peak_merge_product > 1024,
+            "scaling64/{mode}: peak merge emitted {} rows, never reaching a compaction",
+            stats.peak_merge_product
+        );
+    }
 }
 
 /// Instructions for one random binary tree: each step attaches either an

@@ -205,6 +205,8 @@ pub(crate) struct DpScratch {
     rows: Vec<MergeRow>,
     /// Lower-count dominance staircase: cap ascending, q strictly ascending.
     frontier: Vec<(f64, f64)>,
+    /// Fused merge: per-class staircases of the last compaction.
+    stairs: ClassStairs,
     /// Per-buffer best-per-class tables.
     best: Vec<Vec<Option<BestBuf>>>,
     /// Freshly buffered candidates (plain insertion path).
@@ -247,6 +249,7 @@ impl DpScratch {
         }
         self.rows.clear();
         self.frontier.clear();
+        self.stairs.clear();
         self.fresh.clear();
         self.order.clear();
         self.keep.clear();
@@ -320,7 +323,7 @@ fn prune(cands: &mut Vec<DpCand>, cfg: &DpConfig, scratch: &mut DpScratch) {
     if cfg.conservative || cfg.cost_aware {
         prune_pairwise(cands, cfg, &mut scratch.order, &mut scratch.keep);
     } else {
-        sweep_prune(cands, &mut scratch.frontier);
+        sweep_prune(cands, &mut scratch.frontier, None);
     }
 }
 
@@ -333,7 +336,17 @@ fn prune(cands: &mut Vec<DpCand>, cfg: &DpConfig, scratch: &mut DpScratch) {
 /// staircase answers every query of the class, and the class survivors
 /// (cap ascending, q strictly ascending) fold in with one linear merge:
 /// O(F + S) per class for F staircase steps and S survivors.
-fn sweep_prune<R: Row>(items: &mut Vec<R>, frontier: &mut Vec<(f64, f64)>) {
+///
+/// With `stairs`, the staircase left after each class that kept a
+/// survivor is recorded for [`merge_fused`]'s emission filter.
+fn sweep_prune<R: Row>(
+    items: &mut Vec<R>,
+    frontier: &mut Vec<(f64, f64)>,
+    mut stairs: Option<&mut ClassStairs>,
+) {
+    if let Some(st) = stairs.as_deref_mut() {
+        st.clear();
+    }
     if items.len() <= 1 {
         return;
     }
@@ -383,8 +396,95 @@ fn sweep_prune<R: Row>(items: &mut Vec<R>, frontier: &mut Vec<(f64, f64)>) {
         }
         // Class survivors join the staircase for higher counts.
         merge_staircase(frontier, &items[class_start..write]);
+        if write > class_start {
+            if let Some(st) = stairs.as_deref_mut() {
+                st.record(parity, count, frontier);
+            }
+        }
     }
     items.truncate(write);
+}
+
+/// Per-(parity, count) snapshots of the dominance staircase a compaction
+/// sweep leaves behind: the one for class (p, c) holds the survivors of
+/// parity p with count ≤ c. Until the next compaction those survivors
+/// stay in the row buffer, so a new row of class (p, c) that the
+/// snapshot dominates (`max{q : cap ≤ row.cap} ≥ row.q`) would be
+/// dropped by that compaction anyway (DESIGN §15).
+#[derive(Debug, Default)]
+struct ClassStairs {
+    /// Every recorded staircase, back to back.
+    steps: Vec<(f64, f64)>,
+    /// `spans[parity][count]`: the `steps` range of class (parity,
+    /// count). A count without survivors repeats the span below it.
+    spans: [Vec<(u32, u32)>; 2],
+}
+
+impl ClassStairs {
+    fn clear(&mut self) {
+        self.steps.clear();
+        for s in &mut self.spans {
+            s.clear();
+        }
+    }
+
+    /// Records `frontier` as the staircase of class (parity, count);
+    /// classes must arrive in ascending count per parity.
+    fn record(&mut self, parity: bool, count: usize, frontier: &[(f64, f64)]) {
+        let start = u32::try_from(self.steps.len()).expect("staircase steps fit u32");
+        self.steps.extend_from_slice(frontier);
+        let end = u32::try_from(self.steps.len()).expect("staircase steps fit u32");
+        let spans = &mut self.spans[usize::from(parity)];
+        debug_assert!(spans.len() <= count, "classes recorded out of order");
+        let carry = spans.last().copied().unwrap_or((0, 0));
+        spans.resize(count, carry);
+        spans.push((start, end));
+    }
+
+    /// The `steps` range rows of class (parity, count) are checked
+    /// against: the nearest recorded count at or below `count`.
+    fn span(&self, parity: bool, count: usize) -> (usize, usize) {
+        let spans = &self.spans[usize::from(parity)];
+        spans
+            .get(count)
+            .or(spans.last())
+            .map_or((0, 0), |&(s, e)| (s as usize, e as usize))
+    }
+}
+
+/// A forward pointer into one class staircase of [`ClassStairs`], for a
+/// run of rows whose caps never descend (one merge window).
+struct StairCursor {
+    /// Next step not yet passed.
+    pos: usize,
+    end: usize,
+    /// q of the last step passed: the staircase's max q at the current cap.
+    q: f64,
+}
+
+impl StairCursor {
+    /// Places the cursor for rows of class (parity, count) with caps from
+    /// `cap` on.
+    fn new(stairs: &ClassStairs, parity: bool, count: usize, cap: f64) -> Self {
+        let (s, e) = stairs.span(parity, count);
+        let pos = s + stairs.steps[s..e].partition_point(|st| st.0 <= cap);
+        let q = if pos > s {
+            stairs.steps[pos - 1].1
+        } else {
+            f64::NEG_INFINITY
+        };
+        StairCursor { pos, end: e, q }
+    }
+
+    /// Whether the staircase dominates a row with this cap and q.
+    #[inline]
+    fn covers(&mut self, steps: &[(f64, f64)], cap: f64, q: f64) -> bool {
+        while self.pos < self.end && steps[self.pos].0 <= cap {
+            self.q = steps[self.pos].1;
+            self.pos += 1;
+        }
+        self.q >= q
+    }
 }
 
 /// Folds one class's survivors (cap ascending, q strictly ascending) into
@@ -712,10 +812,10 @@ fn witness_envelopes(list: &[DpCand], conditioned: bool, wit: &mut Vec<f64>, qor
     }
 }
 
-/// Emits one legal merge pair into the fused row buffer: updates the
-/// per-(buffer, class) best tables (pre-prune, in generation order,
-/// exactly like the seed's insert_buffers over the materialized product)
-/// and pushes the row with deferred provenance.
+/// Emits one legal merge pair: updates the per-(buffer, class) best
+/// tables (pre-prune, in generation order, exactly like the seed's
+/// insert_buffers over the materialized product) and returns the row
+/// with deferred provenance; the caller decides whether to push it.
 // Both enumeration paths call this once per legal pair; flat arguments
 // keep the hot loop free of aggregate construction.
 #[allow(clippy::too_many_arguments)]
@@ -728,8 +828,7 @@ fn fused_emit(
     cfg: &DpConfig,
     feasible: bool,
     best: &mut [Vec<Option<BestBuf>>],
-    rows: &mut Vec<MergeRow>,
-) {
+) -> MergeRow {
     let row = DpCand {
         cap: a.cap + b.cap,
         q: a.q.min(b.q),
@@ -767,11 +866,11 @@ fn fused_emit(
             }
         }
     }
-    rows.push(MergeRow {
+    MergeRow {
         cand: row,
         left: a.prov,
         right: b.prov,
-    });
+    }
 }
 
 /// Fused merge + buffer-insert + prune for the paper's (C, q) pruning
@@ -794,6 +893,12 @@ fn fused_emit(
 /// final dominance sweep and outbid in every best-buffer slot, so the
 /// surviving rows, slot winners, provenance, and solutions are bitwise
 /// those of the full enumeration.
+///
+/// The windowed path also filters at emission: each compaction records
+/// its per-class staircases ([`ClassStairs`]), and until the next one a
+/// row those staircases dominate still bids in the best tables but is
+/// never pushed, so it is never sorted or swept. The next compaction
+/// would have dropped exactly those rows.
 ///
 /// Returns the pruned product plus the freshly buffered candidates.
 #[allow(clippy::too_many_arguments)]
@@ -823,6 +928,7 @@ fn merge_fused(
         arena,
         rows,
         frontier,
+        stairs,
         best,
         wit_l,
         wit_r,
@@ -833,6 +939,7 @@ fn merge_fused(
         ..
     } = scratch;
     rows.clear();
+    stairs.clear();
     for t in best.iter_mut() {
         t.clear();
     }
@@ -861,11 +968,11 @@ fn merge_fused(
                         continue;
                     }
                 }
-                fused_emit(a, b, count, lib, cfg, feasible, best, rows);
+                rows.push(fused_emit(a, b, count, lib, cfg, feasible, best));
                 generated += 1;
                 if rows.len() >= compact_at {
                     budget.checkpoint()?;
-                    sweep_prune(rows, frontier);
+                    sweep_prune(rows, frontier, None);
                     compact_at = (rows.len() * 2).max(1024);
                 }
             }
@@ -924,6 +1031,12 @@ fn merge_fused(
                     // Rows below the window start can never beat a's
                     // witness: their prefix-max q is within the envelope.
                     let jlo = rs + pmax_r[rs..re].partition_point(|&p| p <= wa);
+                    if jlo == re {
+                        continue;
+                    }
+                    // Row caps ascend through the window, so one cursor
+                    // walks the class staircase of the last compaction.
+                    let mut stair = StairCursor::new(stairs, lp, count, a.cap + right[jlo].cap);
                     for j in jlo..re {
                         tick += 1;
                         if tick & (CHECK_STRIDE - 1) == 0 {
@@ -939,12 +1052,17 @@ fn merge_fused(
                         if a.q <= wit_r[j] {
                             continue; // b's witness covers this pair
                         }
-                        fused_emit(a, b, count, lib, cfg, feasible, best, rows);
+                        let row = fused_emit(a, b, count, lib, cfg, feasible, best);
                         generated += 1;
+                        if stair.covers(&stairs.steps, row.cand.cap, row.cand.q) {
+                            continue; // the next compaction would drop it
+                        }
+                        rows.push(row);
                         if rows.len() >= compact_at {
                             budget.checkpoint()?;
-                            sweep_prune(rows, frontier);
+                            sweep_prune(rows, frontier, Some(stairs));
                             compact_at = (rows.len() * 2).max(1024);
+                            stair = StairCursor::new(stairs, lp, count, row.cand.cap);
                         }
                     }
                 }
@@ -958,7 +1076,7 @@ fn merge_fused(
     if generated == 0 {
         return Err(CoreError::NoFeasibleCandidate);
     }
-    sweep_prune(rows, frontier);
+    sweep_prune(rows, frontier, None);
     out.reserve(rows.len());
     for r in rows.iter() {
         let mut c = r.cand;
@@ -1689,7 +1807,7 @@ mod tests {
             .collect();
         let expect = sweep_oracle(&v);
         let mut frontier = Vec::new();
-        sweep_prune(&mut v, &mut frontier);
+        sweep_prune(&mut v, &mut frontier, None);
         let lefts: Vec<u32> = v.iter().map(|r| r.left).collect();
         assert_eq!(lefts, [3, 0, 1, 2, 5, 6, 9, 11, 13, 17]);
         let got: Vec<(u32, u32)> = v.iter().map(|r| (r.left, r.right)).collect();
@@ -2132,7 +2250,7 @@ mod tests {
             }
             let expect = sweep_oracle(&rows);
             let mut frontier = Vec::new();
-            sweep_prune(&mut rows, &mut frontier);
+            sweep_prune(&mut rows, &mut frontier, None);
             let got: Vec<(u32, u32)> = rows.iter().map(|r| (r.left, r.right)).collect();
             prop_assert_eq!(got, expect);
         }
@@ -2140,8 +2258,12 @@ mod tests {
 
     /// Deterministic guarantee that the windowed predictive path (raw
     /// product past `PREDICTIVE_MIN_PRODUCT`) is exercised and agrees
-    /// bitwise with prune-of-naive-cross-product: the proptests above
-    /// only cross the threshold probabilistically.
+    /// bitwise, in order, with prune-of-naive-cross-product: the
+    /// proptests above only cross the threshold probabilistically. The
+    /// second fixture spans three count classes in both parities and
+    /// emits enough rows to compact several times, so the emission
+    /// filter runs against every class's staircase, the carried-down
+    /// span of a class without survivors included.
     #[test]
     fn predictive_path_matches_naive_on_large_frontiers() {
         let lib = catalog::ibm_like();
@@ -2162,10 +2284,12 @@ mod tests {
         // ascending, irregular steps) survive the prune intact, so the
         // raw product stays large; the climb then turns the irregular
         // steps into non-monotone q, the hard case for the windows.
-        let staircase = |phase: usize| -> Vec<DpCand> {
+        // Higher counts sit higher in q, so the lower ones cannot prune
+        // them away.
+        let staircase = |phase: usize, len: usize, count: usize, parity: bool| -> Vec<DpCand> {
             let mut cap = 1e-14;
-            let mut q = -1e-9;
-            (0..20usize)
+            let mut q = -1e-9 + count as f64 * 4e-12;
+            (0..len)
                 .map(|i| {
                     cap += (1 + (i * 3 + phase) % 7) as f64 * 2e-15;
                     q += (1 + (i * 5 + phase) % 11) as f64 * 1e-13;
@@ -2174,77 +2298,113 @@ mod tests {
                         q,
                         cur: 1e-5,
                         ns: 0.4,
-                        count: 0,
-                        cost: 0.0,
-                        parity: false,
+                        count,
+                        cost: count as f64,
+                        parity,
                         prov: NONE,
                     }
                 })
                 .collect()
         };
-        let mut left = staircase(0);
-        let mut right = staircase(4);
+        let classes = |phase: usize, len: usize| -> Vec<DpCand> {
+            [false, true]
+                .iter()
+                .flat_map(|&parity| (0..3).map(move |count| (parity, count)))
+                .flat_map(|(parity, count)| staircase(phase + count, len, count, parity))
+                .collect()
+        };
         let mut s = DpScratch::default();
         s.reset(2, lib.len());
-        prune(&mut left, &cfg, &mut s);
-        prune(&mut right, &cfg, &mut s);
-        let wire = Wire::from_rc(120.0, 2e-14, 1.0);
-        climb_in_place(&mut left, &wire, 1e-5, &cfg).expect("left survives");
-        climb_in_place(&mut right, &wire, 1e-5, &cfg).expect("right survives");
-        assert!(
-            left.windows(2).any(|w| w[1].q < w[0].q),
-            "climb failed to break q-monotonicity; fixture too tame"
-        );
-        assert!(
-            left.len() * right.len() >= PREDICTIVE_MIN_PRODUCT,
-            "fixture too small ({}x{}) to reach the windowed path",
-            left.len(),
-            right.len()
-        );
-        let mut naive: Vec<DpCand> = Vec::with_capacity(left.len() * right.len());
-        for a in &left {
-            for bb in &right {
-                naive.push(DpCand {
-                    cap: a.cap + bb.cap,
-                    q: a.q.min(bb.q),
-                    cur: a.cur + bb.cur,
-                    ns: a.ns.min(bb.ns),
-                    count: a.count + bb.count,
-                    cost: a.cost + bb.cost,
-                    parity: a.parity,
-                    prov: NONE,
-                });
+        // The steeper wire leaves the single-class fixture a tiny merged
+        // frontier; the gentler one keeps hundreds of rows per class, so
+        // the row buffer keeps refilling.
+        for (left, right, wire_r, compacts) in [
+            (
+                staircase(0, 20, 0, false),
+                staircase(4, 20, 0, false),
+                120.0,
+                false,
+            ),
+            (classes(0, 64), classes(4, 64), 40.0, true),
+        ] {
+            let (mut left, mut right) = (left, right);
+            prune(&mut left, &cfg, &mut s);
+            prune(&mut right, &cfg, &mut s);
+            let wire = Wire::from_rc(wire_r, 2e-14, 1.0);
+            climb_in_place(&mut left, &wire, 1e-5, &cfg).expect("left survives");
+            climb_in_place(&mut right, &wire, 1e-5, &cfg).expect("right survives");
+            assert!(
+                left.windows(2).any(|w| {
+                    w[0].count == w[1].count && w[0].parity == w[1].parity && w[1].q < w[0].q
+                }),
+                "climb failed to break q-monotonicity; fixture too tame"
+            );
+            assert!(
+                left.len() * right.len() >= PREDICTIVE_MIN_PRODUCT,
+                "fixture too small ({}x{}) to reach the windowed path",
+                left.len(),
+                right.len()
+            );
+            let mut naive: Vec<DpCand> = Vec::with_capacity(left.len() * right.len());
+            for a in &left {
+                for bb in &right {
+                    naive.push(DpCand {
+                        cap: a.cap + bb.cap,
+                        q: a.q.min(bb.q),
+                        cur: a.cur + bb.cur,
+                        ns: a.ns.min(bb.ns),
+                        count: a.count + bb.count,
+                        cost: a.cost + bb.cost,
+                        parity: a.parity,
+                        prov: NONE,
+                    });
+                }
             }
-        }
-        prune(&mut naive, &cfg, &mut s);
-        let mut stats = DpStats::default();
-        let fused = merge_fused(
-            tree.source(),
-            &left,
-            &right,
-            &lib,
-            &cfg,
-            false,
-            &budget,
-            &mut s,
-            &mut stats,
-        )
-        .expect("operands are non-empty");
-        assert!(
-            stats.merge_products_pruned > 0,
-            "predictive path skipped nothing on a {}x{} product",
-            left.len(),
-            right.len()
-        );
-        assert_eq!(
-            stats.merge_products_enumerated + stats.merge_products_pruned,
-            left.len() * right.len()
-        );
-        assert_eq!(fused.len(), naive.len());
-        for (a, bb) in fused.iter().zip(naive.iter()) {
-            assert_eq!(a.cap.to_bits(), bb.cap.to_bits());
-            assert_eq!(a.q.to_bits(), bb.q.to_bits());
-            assert_eq!(a.count, bb.count);
+            prune(&mut naive, &cfg, &mut s);
+            let mut stats = DpStats::default();
+            let fused = merge_fused(
+                tree.source(),
+                &left,
+                &right,
+                &lib,
+                &cfg,
+                false,
+                &budget,
+                &mut s,
+                &mut stats,
+            )
+            .expect("operands are non-empty");
+            assert!(
+                stats.merge_products_pruned > 0,
+                "predictive path skipped nothing on a {}x{} product",
+                left.len(),
+                right.len()
+            );
+            assert_eq!(
+                stats.merge_products_enumerated + stats.merge_products_pruned,
+                left.len() * right.len()
+            );
+            if compacts {
+                assert!(
+                    stats.peak_merge_product > 1024,
+                    "only {} rows emitted: the merge never compacts",
+                    stats.peak_merge_product
+                );
+            }
+            let key = |c: &DpCand| {
+                (
+                    c.cap.to_bits(),
+                    c.q.to_bits(),
+                    c.cur.to_bits(),
+                    c.ns.to_bits(),
+                    c.count,
+                    c.cost.to_bits(),
+                    c.parity,
+                )
+            };
+            let got: Vec<_> = fused.iter().map(key).collect();
+            let expect: Vec<_> = naive.iter().map(key).collect();
+            assert_eq!(got, expect);
         }
     }
 
