@@ -1,5 +1,5 @@
 //! Serving saturation snapshot: the sharded epoll reactor under
-//! connection-count sweeps, against the thread-per-connection baseline.
+//! connection-count sweeps.
 //!
 //! Spawns the server as a child process (its own fd budget — the 10k+
 //! tiers need ~10k sockets on each side of the loopback), ramps N
@@ -8,27 +8,28 @@
 //!
 //! * **hot** — every connection asks for the same (primed) net, so each
 //!   response is a solution-cache hit and the measured latency is the
-//!   serving stack itself: accept fan-out, shard event loops, responder
-//!   hand-off, write backpressure. p50/p99/p999 and throughput per tier.
+//!   serving stack itself: accept fan-out, shard event loops, request
+//!   handling on the shard thread, write backpressure. p50/p99/p999 and
+//!   throughput per tier.
 //! * **cold** — every connection asks for a distinct net, flooding the
 //!   engines' bounded admission queue: the shed-rate curve (typed
 //!   `overloaded` refusals / total) per tier, the degrade-under-overload
 //!   contract at the TCP layer.
 //!
-//! A `comparison` section reruns the hot wave at the comparison tier
-//! against the legacy threaded front end **in the same run** and gates
-//! the reactor's p99 against it (`--max-ratio`, default 1.25): the
-//! re-platform must not cost tail latency. `--gate BASELINE` furthermore
-//! compares that ratio against a committed snapshot (tolerance
-//! `--gate-tolerance-pct`, default 75%) so drift shows up in CI without
-//! punishing slower machines — both front ends share the hardware, so
-//! the ratio is portable where raw microseconds are not.
+//! A `comparison` section records how the hot tail grows with load: the
+//! hot p99 at 1024 connections divided by the hot p99 at 64, both from
+//! the same run. `--gate BASELINE` compares that ratio against a
+//! committed snapshot (tolerance `--gate-tolerance-pct`, default 75%)
+//! so drift shows up in CI without punishing slower machines — both
+//! tiers share the hardware, so the ratio is portable where raw
+//! microseconds are not.
 //!
-//! Usage: `serve_snapshot [--quick] [--out PATH] [--max-ratio R]
-//!                        [--gate BASELINE] [--gate-tolerance-pct P]`
+//! Usage: `serve_snapshot [--quick] [--out PATH] [--gate BASELINE]
+//!                        [--gate-tolerance-pct P]`
 //!
 //! The full sweep (default) runs tiers 64–10240; `--quick` stops at
-//! 1024 (CI smoke). Writes `BENCH_serve.json` by default.
+//! 1024 (CI smoke). Both run the two comparison tiers. Writes
+//! `BENCH_serve.json` by default.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -42,9 +43,7 @@ use buffopt_netpoll::{
     set_nonblocking, Event, FillOutcome, FlushOutcome, Interest, Poller, RecvBuf, SendBuf, TakeLine,
 };
 use buffopt_pipeline::{NetInput, PipelineConfig};
-use buffopt_server::{
-    serve_sharded, serve_threaded, Engine, EngineOptions, NetDecoder, ServeOptions,
-};
+use buffopt_server::{serve_sharded, Engine, EngineOptions, NetDecoder, ServeOptions};
 use buffopt_workload::{adversarial, WorkloadConfig};
 
 /// Request-line cap mirrored on the client's receive side.
@@ -101,7 +100,7 @@ fn request(id: &str, escaped_net: &str) -> String {
 // Child-process server (--server): its own pid, its own fd budget.
 // ---------------------------------------------------------------------
 
-fn run_server(mode: &str, shards: usize, jobs: usize, queue_depth: usize) -> ! {
+fn run_server(shards: usize, jobs: usize, queue_depth: usize) -> ! {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
     println!("listening on {addr}");
@@ -116,27 +115,16 @@ fn run_server(mode: &str, shards: usize, jobs: usize, queue_depth: usize) -> ! {
             },
         ))
     };
-    let opts = ServeOptions::default();
-    let result = match mode {
-        "threaded" => serve_threaded(listener, mk(), decoder(), opts),
-        _ => serve_sharded(
-            listener,
-            (0..shards).map(|_| mk()).collect(),
-            decoder(),
-            opts,
-        ),
-    };
-    result.expect("serve runs");
+    let engines = (0..shards).map(|_| mk()).collect();
+    serve_sharded(listener, engines, decoder(), ServeOptions::default()).expect("serve runs");
     std::process::exit(0)
 }
 
-fn spawn_server(mode: &str, shards: usize, jobs: usize, queue_depth: usize) -> (Child, SocketAddr) {
+fn spawn_server(shards: usize, jobs: usize, queue_depth: usize) -> (Child, SocketAddr) {
     let exe = std::env::current_exe().expect("own path");
     let mut child = Command::new(exe)
         .args([
             "--server",
-            "--mode",
-            mode,
             "--shards",
             &shards.to_string(),
             "--jobs",
@@ -365,26 +353,21 @@ fn wave_json(w: &WaveResult) -> String {
     )
 }
 
-/// Hot wave (primed id, cache hits) and optionally the cold wave
+/// The hot wave (primed id, cache hits) and then the cold wave
 /// (distinct ids, admission flood) at one connection count.
 fn run_tier(
     addr: SocketAddr,
     conns_n: usize,
     tier_tag: &str,
     escaped: &str,
-    with_cold: bool,
-) -> (WaveResult, Option<WaveResult>) {
+) -> (WaveResult, WaveResult) {
     let mut conns = ramp(addr, conns_n);
     let hot_reqs: Vec<String> = (0..conns_n).map(|_| request("hot", escaped)).collect();
     let hot = run_wave(&mut conns, &hot_reqs);
-    let cold = if with_cold {
-        let cold_reqs: Vec<String> = (0..conns_n)
-            .map(|i| request(&format!("cold-{tier_tag}-{i}"), escaped))
-            .collect();
-        Some(run_wave(&mut conns, &cold_reqs))
-    } else {
-        None
-    };
+    let cold_reqs: Vec<String> = (0..conns_n)
+        .map(|i| request(&format!("cold-{tier_tag}-{i}"), escaped))
+        .collect();
+    let cold = run_wave(&mut conns, &cold_reqs);
     (hot, cold)
 }
 
@@ -405,19 +388,16 @@ fn baseline_ratio(path: &str) -> Option<f64> {
 fn main() {
     let mut args = std::env::args().skip(1);
     let mut server_mode = false;
-    let mut mode = "reactor".to_string();
     let mut shards = 2usize;
     let mut jobs = 1usize;
     let mut queue_depth = 64usize;
     let mut quick = false;
     let mut out = "BENCH_serve.json".to_string();
-    let mut max_ratio = 1.25f64;
     let mut gate: Option<String> = None;
     let mut gate_tolerance_pct = 75.0f64;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--server" => server_mode = true,
-            "--mode" => mode = args.next().expect("--mode value"),
             "--shards" => shards = args.next().expect("--shards value").parse().expect("usize"),
             "--jobs" => jobs = args.next().expect("--jobs value").parse().expect("usize"),
             "--queue-depth" => {
@@ -429,13 +409,6 @@ fn main() {
             }
             "--quick" => quick = true,
             "--out" => out = args.next().expect("--out value"),
-            "--max-ratio" => {
-                max_ratio = args
-                    .next()
-                    .expect("--max-ratio value")
-                    .parse()
-                    .expect("float")
-            }
             "--gate" => gate = Some(args.next().expect("--gate value")),
             "--gate-tolerance-pct" => {
                 gate_tolerance_pct = args
@@ -451,7 +424,7 @@ fn main() {
         }
     }
     if server_mode {
-        run_server(&mode, shards, jobs, queue_depth);
+        run_server(shards, jobs, queue_depth);
     }
 
     let tiers: &[usize] = if quick {
@@ -459,88 +432,65 @@ fn main() {
     } else {
         &[64, 256, 1024, 4096, 10240]
     };
-    let comparison_tier = 1024usize;
+    // The drift gate's two tiers; both sweeps include them.
+    let (low_tier, high_tier) = (64usize, 1024usize);
     let escaped = net_text_escaped();
 
-    // --- The reactor sweep ---
-    let (child, addr) = spawn_server("reactor", shards, jobs, queue_depth);
+    let (child, addr) = spawn_server(shards, jobs, queue_depth);
     prime(addr, &request("hot", &escaped));
     let mut tier_rows = Vec::new();
-    let mut reactor_cmp_p99 = 0u64;
+    let (mut low_p99, mut high_p99) = (0u64, 0u64);
     for &n in tiers {
         eprintln!("reactor tier {n} ...");
-        let (hot, cold) = run_tier(addr, n, &format!("r{n}"), &escaped, true);
+        let (hot, cold) = run_tier(addr, n, &format!("r{n}"), &escaped);
         assert_eq!(hot.errors, 0, "hot wave at {n} conns had socket errors");
         assert_eq!(
             hot.shed, 0,
             "hot wave at {n} conns was shed; cache-hit serving must not touch admission"
         );
-        if n == comparison_tier {
-            reactor_cmp_p99 = hot.p99_us;
+        if n == low_tier {
+            low_p99 = hot.p99_us;
+        }
+        if n == high_tier {
+            high_p99 = hot.p99_us;
         }
         eprintln!(
             "  hot p50/p99/p999 {}/{}/{} us, {:.0} rps; cold shed {}/{}",
-            hot.p50_us,
-            hot.p99_us,
-            hot.p999_us,
-            hot.throughput_rps,
-            cold.as_ref().map_or(0, |c| c.shed),
-            n
+            hot.p50_us, hot.p99_us, hot.p999_us, hot.throughput_rps, cold.shed, n
         );
         tier_rows.push(format!(
             "    {{\"conns\":{n},\"hot\":{},\"cold\":{}}}",
             wave_json(&hot),
-            wave_json(cold.as_ref().expect("cold wave ran")),
+            wave_json(&cold),
         ));
     }
     shutdown_server(addr, child);
 
-    // --- The threaded baseline at the comparison tier, same run ---
-    eprintln!("threaded comparison tier {comparison_tier} ...");
-    let (child, addr) = spawn_server("threaded", 1, jobs, queue_depth);
-    prime(addr, &request("hot", &escaped));
-    let (threaded_hot, _) = run_tier(addr, comparison_tier, "t", &escaped, false);
-    shutdown_server(addr, child);
-    assert_eq!(
-        threaded_hot.errors, 0,
-        "threaded hot wave had socket errors"
-    );
-
-    let ratio = reactor_cmp_p99 as f64 / threaded_hot.p99_us.max(1) as f64;
+    let ratio = high_p99 as f64 / low_p99.max(1) as f64;
     eprintln!(
-        "comparison at {comparison_tier} conns: reactor p99 {} us, threaded p99 {} us, ratio {:.3}",
-        reactor_cmp_p99, threaded_hot.p99_us, ratio
+        "hot p99 {high_p99} us at {high_tier} conns / {low_p99} us at {low_tier} conns = {ratio:.3}"
     );
 
     let json = format!(
         "{{\n  \"meta\":{{\"quick\":{quick},\"shards\":{shards},\"jobs\":{jobs},\
          \"queue_depth\":{queue_depth}}},\n  \"tiers\":[\n{}\n  ],\n  \
-         \"comparison\":{{\"conns\":{comparison_tier},\"reactor_p99_us\":{reactor_cmp_p99},\
-         \"threaded_p99_us\":{},\"threaded_hot\":{},\"ratio\":{ratio:.4}}}\n}}\n",
+         \"comparison\":{{\"low_conns\":{low_tier},\"low_p99_us\":{low_p99},\
+         \"high_conns\":{high_tier},\"high_p99_us\":{high_p99},\"ratio\":{ratio:.4}}}\n}}\n",
         tier_rows.join(",\n"),
-        threaded_hot.p99_us,
-        wave_json(&threaded_hot),
     );
     std::fs::write(&out, &json).expect("write snapshot");
     eprintln!("wrote {out}");
 
     let mut failed = false;
-    if ratio > max_ratio {
-        eprintln!(
-            "GATE: reactor p99 is {ratio:.3}x the threaded baseline at \
-             {comparison_tier} conns (max allowed {max_ratio})"
-        );
-        failed = true;
-    }
     if let Some(path) = gate {
         match baseline_ratio(&path) {
             Some(base) => {
                 let limit = base * (1.0 + gate_tolerance_pct / 100.0);
                 if ratio > limit {
                     eprintln!(
-                        "GATE: p99 ratio {ratio:.3} drifted past the committed \
-                         baseline {base:.3} by more than {gate_tolerance_pct}% \
-                         (limit {limit:.3})"
+                        "GATE: hot p99 ratio {ratio:.3} ({high_tier}/{low_tier} conns) \
+                         drifted past the committed baseline {base:.3} by more than \
+                         {gate_tolerance_pct}% (limit {limit:.3})"
                     );
                     failed = true;
                 } else {

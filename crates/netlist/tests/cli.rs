@@ -810,3 +810,69 @@ fn serve_answers_optimize_stats_and_shutdown() {
     let mut rest = String::new();
     child_out.read_to_string(&mut rest).expect("drained");
 }
+
+/// Starts `buffopt-cli serve` with `flags`, serves one request so every
+/// shard thread is up, and returns the process's thread count from
+/// `/proc/<pid>/task` before shutting the server down.
+#[cfg(target_os = "linux")]
+fn serve_thread_count(flags: &[&str]) -> usize {
+    use std::io::{BufRead, BufReader};
+    use std::net::TcpStream;
+    use std::process::Stdio;
+
+    let mut child = cli()
+        .args(["serve", "--listen", "127.0.0.1:0"])
+        .args(flags)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("server starts");
+    let mut banner = String::new();
+    BufReader::new(child.stdout.take().expect("piped"))
+        .read_line(&mut banner)
+        .expect("banner line");
+    let addr = banner
+        .trim()
+        .strip_prefix("listening on ")
+        .unwrap_or_else(|| panic!("unexpected banner {banner:?}"))
+        .to_string();
+    let stream = TcpStream::connect(&addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut send = |line: &str| {
+        (&stream)
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("send");
+        let mut resp = String::new();
+        reader.read_line(&mut resp).expect("response");
+        resp
+    };
+    // The acceptor spawns every shard before it accepts, so an answer
+    // means the thread set is complete.
+    assert!(send("{\"cmd\":\"stats\"}").contains("\"requests\":"));
+    let threads = std::fs::read_dir(format!("/proc/{}/task", child.id()))
+        .expect("procfs task list")
+        .count();
+    assert_eq!(
+        send("{\"cmd\":\"shutdown\"}").trim_end(),
+        "{\"ok\":\"shutdown\"}"
+    );
+    assert_eq!(child.wait().expect("server exits").code(), Some(0));
+    threads
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn serve_runs_only_acceptor_shard_worker_and_auditor_threads() {
+    let flags = ["--shards", "2", "--jobs", "1", "--queue-depth", "64"];
+    assert_eq!(
+        serve_thread_count(&flags),
+        5,
+        "the acceptor, 2 shards and 2 workers; no thread waits on a request"
+    );
+    let audited = [&flags[..], &["--verify-sample-rate", "0.5"]].concat();
+    assert_eq!(
+        serve_thread_count(&audited),
+        6,
+        "plus the one auditor every engine shares"
+    );
+}

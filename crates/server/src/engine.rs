@@ -1,6 +1,21 @@
 //! The concurrent execution engine: a supervised fixed-size worker pool
-//! fed through a bounded channel, fronted by the solution cache and the
+//! fed through a bounded queue, fronted by the solution cache and the
 //! metrics, with admission control for interactive callers.
+//!
+//! # Completion
+//!
+//! [`Engine::submit`] is the engine's one request path, and it never
+//! blocks. A cache hit, a full queue and a shutting-down engine are
+//! answered inline; anything else is queued together with its completion
+//! callback. The worker that finishes the task does all the
+//! after-the-fact work itself — the wrong-net integrity check, a retry
+//! or failure after a death, the outcome metrics, the cache insert and
+//! the sampled re-audit — and then calls the completion. Each request
+//! gets exactly one answer: a shared once-flag (the [`Ticket`]) decides
+//! whether the worker or a deadline expiry delivers it. The blocking
+//! entry points ([`Engine::optimize`], [`Engine::try_optimize`],
+//! [`Engine::run_jobs`]) are thin wrappers that wait on their own
+//! completions.
 //!
 //! # Determinism
 //!
@@ -20,31 +35,33 @@
 //! (a panic in the dequeue/bookkeeping path, or an injected
 //! [`FaultAction::KillWorker`]) is detected immediately: every dequeued
 //! task is held by a drop guard that, if the worker unwinds or exits
-//! without completing it, decrements the live-worker count and sends a
-//! "died" reply carrying the job back to the requester. The engine then
-//! joins the dead thread, spawns a replacement, counts the death and the
-//! respawn in the metrics, and retries the in-flight request up to
+//! without completing it, decrements the live-worker count, joins dead
+//! threads and spawns a replacement (counting the death and the respawn
+//! in the metrics), and retries the request up to
 //! [`EngineOptions::max_retries`] times before failing **only that
 //! request**. A completed record whose net name does not match the
 //! submitted job is treated the same way (a corrupt worker is a dead
-//! worker as far as the caller is concerned).
+//! worker as far as the caller is concerned). Retries re-enter the queue
+//! through a lane that bypasses the admission bound, so a worker never
+//! waits on its own full queue.
 //!
 //! # Admission control
 //!
-//! The task queue is bounded. [`Engine::try_optimize`] — the TCP
-//! service's entry point — **sheds** instead of blocking when the queue
-//! is at its high-watermark ([`Rejection::Overloaded`]), arms the
-//! per-request deadline at admission (queue wait counts against it),
-//! gives up with [`Rejection::DeadlineExceeded`] when the deadline
-//! passes, and refuses new work with [`Rejection::ShuttingDown`] once
-//! [`Engine::begin_shutdown`] has been called. When a request times out
-//! while a worker is still grinding on it, the engine spawns a surplus
-//! replacement so the stalled slot does not shrink the pool; the stalled
-//! worker retires itself once it finishes and finds its reply abandoned.
-//! Workers additionally drop queued tasks whose deadline expired while
-//! waiting ("stale"), so an overloaded queue drains at memcpy speed
-//! instead of computing answers nobody is waiting for. Blocking callers
-//! ([`Engine::optimize`], [`Engine::run_jobs`]) feel backpressure
+//! The task queue is bounded. [`Engine::submit`] **sheds** instead of
+//! blocking when the queue is at its high-watermark
+//! ([`Rejection::Overloaded`]), arms the per-request deadline at
+//! admission (queue wait counts against it) and refuses new work with
+//! [`Rejection::ShuttingDown`] once [`Engine::begin_shutdown`] has been
+//! called. The deadline itself is kept by the caller: when it passes,
+//! the caller calls [`Ticket::expire`], which answers
+//! [`Rejection::DeadlineExceeded`] unless a worker already answered.
+//! An expiry spawns a surplus replacement worker so the stalled slot
+//! does not shrink the pool; the stalled worker retires itself once it
+//! finishes and finds its ticket already answered. Workers additionally
+//! drop queued tasks whose deadline expired while waiting ("stale"), so
+//! an overloaded queue drains at memcpy speed instead of computing
+//! answers nobody is waiting for. The blocking wrappers
+//! ([`Engine::optimize`], [`Engine::run_jobs`]) wait for queue room
 //! instead of shedding and carry no deadline.
 //!
 //! # Cancellation
@@ -54,20 +71,20 @@
 //! surplus worker is spawned, so the stalled run aborts within
 //! microseconds and the slot retires against the surplus credit instead
 //! of grinding to completion for nobody; the TCP service trips the same
-//! token when it sees the client disconnect mid-request
-//! ([`Engine::try_optimize_with`]). Injected resource faults resolve
-//! into the run rather than the machinery: `MemPressure` forces one run
-//! under a tiny arena cap with degrade-in-place on, and `CancelRun`
-//! trips the token with the supervisor reason. Shutdown deliberately
-//! does NOT cancel in-flight work — the drain contract ("every admitted
-//! request gets its response") stays intact.
+//! token when it sees the client disconnect mid-request. Injected
+//! resource faults resolve into the run rather than the machinery:
+//! `MemPressure` forces one run under a tiny arena cap with
+//! degrade-in-place on, and `CancelRun` trips the token with the
+//! supervisor reason. Shutdown deliberately does NOT cancel in-flight
+//! work — the drain contract ("every admitted request gets its
+//! response") stays intact.
 //!
 //! [`FaultAction::KillWorker`]: buffopt_pipeline::fault::FaultAction::KillWorker
 
+use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -157,11 +174,12 @@ pub struct EngineOptions {
     pub cache_capacity: usize,
     /// Cache shards (lock granularity).
     pub cache_shards: usize,
-    /// Queue high-watermark for [`Engine::try_optimize`] admission;
-    /// 0 means `2 × jobs` (the default backpressure depth).
+    /// Queue high-watermark for [`Engine::submit`] admission; 0 means
+    /// `2 × jobs` (the default backpressure depth).
     pub queue_depth: usize,
-    /// Per-request deadline for [`Engine::try_optimize`], armed at
-    /// admission (queue wait counts); `None` disables it. Distinct from
+    /// Per-request deadline for [`Engine::submit`], armed at admission
+    /// (queue wait counts) and enforced by the caller through
+    /// [`Ticket::expire`]; `None` disables it. Distinct from
     /// the pipeline's per-net compute budget, which arms at dequeue.
     pub request_deadline: Option<Duration>,
     /// How many times a request whose worker died (or returned a record
@@ -170,9 +188,10 @@ pub struct EngineOptions {
     /// Deterministic fault-injection plan for chaos tests; `None` in
     /// production.
     pub fault_plan: Option<Arc<FaultPlan>>,
-    /// Fraction of served responses (cache hits included) handed to an
-    /// off-critical-path audit thread that independently re-derives the
-    /// record's slack and noise headroom
+    /// Fraction of served responses (cache hits included) handed to the
+    /// process's one off-critical-path audit thread (shared by every
+    /// engine) that independently re-derives the record's slack and noise
+    /// headroom
     /// ([`buffopt_pipeline::reverify_outcome`]). `0.0` (the default)
     /// disables the auditor entirely; `1.0` audits every response.
     /// Sampling is deterministic (every ⌈1/rate⌉-th response), never
@@ -203,60 +222,269 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-struct Task {
-    idx: usize,
-    attempt: u32,
-    job: Job,
+/// What a request's completion receives: the served record, or why the
+/// request was refused without one.
+pub type Answer = Result<Served, Rejection>;
+
+/// A request's completion callback, called exactly once with its
+/// [`Answer`] — inline from [`Engine::submit`] or later on a worker
+/// thread.
+type Completion = Box<dyn FnOnce(Answer) + Send>;
+
+/// The once-flag shared by a queued task and its [`Ticket`]: whichever
+/// side takes the completion first answers the request.
+struct TicketState {
+    on_done: Mutex<Option<Completion>>,
+    cancel: CancelToken,
     deadline: Option<Instant>,
-    /// Shared cancellation flag for this request: the submitter keeps a
-    /// clone and trips it (deadline expiry, client disconnect) to abort
-    /// the worker's run at its next stride checkpoint.
-    cancel: CancelToken,
-    reply: mpsc::Sender<Done>,
 }
 
-struct Done {
-    idx: usize,
+impl TicketState {
+    fn new(on_done: Option<Completion>, cancel: CancelToken, deadline: Option<Instant>) -> Self {
+        TicketState {
+            on_done: Mutex::new(on_done),
+            cancel,
+            deadline,
+        }
+    }
+
+    fn completion(&self) -> MutexGuard<'_, Option<Completion>> {
+        self.on_done.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Takes the right to answer; `None` once someone else has.
+    fn claim(&self) -> Option<Completion> {
+        self.completion().take()
+    }
+
+    /// Whether the request still awaits its answer.
+    fn is_open(&self) -> bool {
+        self.completion().is_some()
+    }
+}
+
+/// A submitted request's handle, returned by [`Engine::submit`]. The
+/// caller keeps it to enforce the request deadline: the engine arms the
+/// deadline at admission, the caller times it and calls
+/// [`Ticket::expire`] when it passes.
+pub struct Ticket {
+    state: Arc<TicketState>,
+    core: Arc<Core>,
+}
+
+impl Ticket {
+    /// The request's deadline, armed at admission; `None` when the engine
+    /// runs without [`EngineOptions::request_deadline`] or the request
+    /// was already answered inline.
+    pub fn deadline(&self) -> Option<Instant> {
+        self.state.deadline
+    }
+
+    /// Declares the deadline passed. Unless a worker already answered,
+    /// this trips the request's cancel token, answers
+    /// [`Rejection::DeadlineExceeded`] and spawns a surplus worker to
+    /// stand in for the one still grinding on the request (it retires
+    /// when it finishes). A no-op after the request was answered.
+    pub fn expire(&self) {
+        let Some(done) = self.state.claim() else {
+            return;
+        };
+        // Trip the token first: the worker grinding on this request
+        // aborts at its next stride checkpoint and retires against the
+        // surplus credit, instead of computing to completion for nobody.
+        if self.state.cancel.cancel(CancelReason::Deadline) {
+            self.core.metrics.record_cancelled(CancelReason::Deadline);
+        }
+        self.core
+            .metrics
+            .record_rejection(Rejection::DeadlineExceeded);
+        self.core.add_surplus_worker();
+        done(Err(Rejection::DeadlineExceeded));
+    }
+}
+
+struct Task {
     attempt: u32,
-    /// The job travels back with the reply so a retry never clones the
-    /// input tree.
     job: Job,
-    /// The request's cancel token travels back too, so a retry keeps
-    /// answering to the same submitter-held flag.
-    cancel: CancelToken,
-    /// `None` means the worker died before producing a record (or
-    /// dropped the task as stale).
-    outcome: Option<NetOutcome>,
-    /// The task's deadline had already passed when a worker dequeued it;
-    /// it was dropped unstarted.
-    stale: bool,
-    worker: usize,
+    ticket: Arc<TicketState>,
 }
 
-/// State shared by every worker thread and the engine's supervisor.
-struct WorkerShared {
-    rx: Mutex<mpsc::Receiver<Task>>,
-    cfg: Arc<PipelineConfig>,
+/// The bounded task queue. Admission ([`TaskQueue::try_push`],
+/// [`TaskQueue::push_wait`]) respects `depth`; retries do not.
+struct TaskQueue {
+    state: Mutex<QueueState>,
+    /// Signalled when a task is queued or the queue closes.
+    ready: Condvar,
+    /// Signalled when a worker takes a task.
+    room: Condvar,
+    depth: usize,
+}
+
+struct QueueState {
+    tasks: VecDeque<Task>,
+    /// Set when the engine drops: workers exit once the queue is empty.
+    closed: bool,
+}
+
+impl TaskQueue {
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn enqueue(&self, mut q: MutexGuard<'_, QueueState>, task: Task, front: bool) {
+        if front {
+            q.tasks.push_front(task);
+        } else {
+            q.tasks.push_back(task);
+        }
+        drop(q);
+        self.ready.notify_one();
+    }
+
+    /// Queues `task` if the queue is below its high-watermark; `false`
+    /// (dropping the task) otherwise.
+    fn try_push(&self, task: Task) -> bool {
+        let q = self.lock();
+        if q.tasks.len() >= self.depth {
+            return false;
+        }
+        self.enqueue(q, task, false);
+        true
+    }
+
+    /// Queues `task`, waiting for room first.
+    fn push_wait(&self, task: Task) {
+        let mut q = self.lock();
+        while q.tasks.len() >= self.depth {
+            q = self.room.wait(q).unwrap_or_else(|e| e.into_inner());
+        }
+        self.enqueue(q, task, false);
+    }
+
+    /// The retry lane: re-queues at the front, past the admission bound.
+    /// Only workers retry, and a worker waiting for room in its own full
+    /// queue would deadlock a one-worker pool.
+    fn push_retry(&self, task: Task) {
+        let q = self.lock();
+        self.enqueue(q, task, true);
+    }
+
+    /// Takes the next task, waiting while the queue is empty; `None` once
+    /// the queue is closed and drained.
+    fn pop(&self) -> Option<Task> {
+        let mut q = self.lock();
+        loop {
+            if let Some(task) = q.tasks.pop_front() {
+                drop(q);
+                self.room.notify_one();
+                return Some(task);
+            }
+            if q.closed {
+                return None;
+            }
+            q = self.ready.wait(q).unwrap_or_else(|e| e.into_inner());
+        }
+    }
+
+    fn close(&self) {
+        self.lock().closed = true;
+        self.ready.notify_all();
+    }
+}
+
+/// One response handed to the audit thread: everything needed to
+/// independently re-derive the record's figures, and the engine it came
+/// from.
+struct VerifyTask {
+    core: Arc<Core>,
+    cache_key: Option<u64>,
+    input: NetInput,
+    outcome: NetOutcome,
+}
+
+/// State shared by the engine handle, every worker thread and every
+/// [`Ticket`]: the queue, the supervisor, and everything a worker needs
+/// to finish a request on its own.
+struct Core {
+    queue: TaskQueue,
+    cfg: PipelineConfig,
     plan: Option<Arc<FaultPlan>>,
-    /// Shared with the engine so workers can attribute cancellations
-    /// they deliver themselves (stale drops, injected supervisor kills).
-    metrics: Arc<Metrics>,
+    cache: SolutionCache,
+    metrics: Metrics,
+    max_retries: u32,
+    /// Worker thread handles, reaped by [`Core::supervise`] and joined
+    /// when the engine drops.
+    workers: Mutex<Vec<JoinHandle<()>>>,
+    next_worker_id: AtomicUsize,
     /// Worker threads alive right now — incremented when a thread is
     /// promised (at spawn), decremented by the death guard and by
     /// surplus retirement, so supervisors never over-spawn.
     live: AtomicUsize,
     /// Outstanding stalled-slot replacements: incremented when a
-    /// deadline expiry spawns an extra worker, consumed when a worker
-    /// retires to shrink the pool back to target strength.
+    /// deadline expiry spawns an extra worker, consumed when the stalled
+    /// worker finds its request answered and retires.
     surplus: AtomicUsize,
     /// Nominal pool size.
     target: usize,
-    /// Tasks submitted but not yet dequeued by a worker — a queue-depth
-    /// gauge for per-shard stats, maintained on every send/dequeue pair.
-    queued: AtomicUsize,
+    /// Sampled re-verification (see [`EngineOptions::verify_sample_rate`]).
+    verify_rate: f64,
+    verify_seen: AtomicU64,
+    /// Cleared by [`Engine::drain_verification`]: sampling stops.
+    sampling: AtomicBool,
+    /// Samples handed to the auditor and not yet audited.
+    audits_pending: Mutex<usize>,
+    /// Signalled when `audits_pending` reaches zero.
+    audited: Condvar,
 }
 
-impl WorkerShared {
+impl Core {
+    fn spawn_worker(self: &Arc<Self>) -> JoinHandle<()> {
+        let wid = self.next_worker_id.fetch_add(1, Ordering::SeqCst);
+        let core = Arc::clone(self);
+        // Count the worker as live from the moment it is promised, so
+        // concurrent supervisors never over-spawn.
+        self.live.fetch_add(1, Ordering::SeqCst);
+        std::thread::Builder::new()
+            .name(format!("buffopt-worker-{wid}"))
+            .spawn(move || worker_loop(wid, &core))
+            .expect("spawn worker thread")
+    }
+
+    fn workers(&self) -> MutexGuard<'_, Vec<JoinHandle<()>>> {
+        self.workers.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Reaps dead worker threads and spawns replacements until the pool
+    /// is back at target strength. Called whenever a death is detected;
+    /// idempotent and safe to call concurrently.
+    fn supervise(self: &Arc<Self>) {
+        let mut workers = self.workers();
+        let mut i = 0;
+        while i < workers.len() {
+            if workers[i].is_finished() {
+                let _ = workers.swap_remove(i).join();
+            } else {
+                i += 1;
+            }
+        }
+        // The death guard decrements `live` before calling this, so the
+        // count already reflects the death being reacted to.
+        while self.live.load(Ordering::SeqCst) < self.target {
+            workers.push(self.spawn_worker());
+            self.metrics.record_respawn();
+        }
+    }
+
+    /// Restores pool capacity around a stalled worker: one surplus
+    /// credit plus one extra thread. The stalled worker retires itself
+    /// against the credit when it eventually finishes.
+    fn add_surplus_worker(self: &Arc<Self>) {
+        self.surplus.fetch_add(1, Ordering::SeqCst);
+        self.metrics.record_respawn();
+        let handle = self.spawn_worker();
+        self.workers().push(handle);
+    }
+
     /// Consumes one surplus credit if any is outstanding; the calling
     /// worker retires on `true`.
     fn try_retire(&self) -> bool {
@@ -269,114 +497,203 @@ impl WorkerShared {
         }
         won
     }
+
+    /// Finishes a task a worker completed (`Some` record) or died holding
+    /// (`None`): integrity check, retry or failure, then — if this side
+    /// wins the ticket — metrics, cache insert, sampled audit and the
+    /// completion. Returns `false` when the request had already been
+    /// answered (a deadline expiry), so the worker can retire against
+    /// the surplus credit that expiry left behind.
+    fn finish(
+        self: &Arc<Self>,
+        mut task: Task,
+        outcome: Option<NetOutcome>,
+        worker: usize,
+    ) -> bool {
+        let checked = match outcome {
+            None => {
+                self.metrics.record_worker_death();
+                self.supervise();
+                Err("worker died while holding the request")
+            }
+            Some(o) if o.name != task.job.input.name() => {
+                // Integrity check: a record for the wrong net means the
+                // worker (or an injected fault) corrupted its output.
+                self.metrics.record_bad_output();
+                Err("worker returned a record for the wrong net")
+            }
+            Some(o) => Ok(o),
+        };
+        let (outcome, fresh) = match checked {
+            Ok(outcome) => (outcome, true),
+            Err(failure) => {
+                if task.attempt < self.max_retries {
+                    // Nobody waits for an expired request; let it go.
+                    if !task.ticket.is_open() {
+                        return false;
+                    }
+                    self.metrics.record_retry();
+                    task.attempt += 1;
+                    self.queue.push_retry(task);
+                    return true;
+                }
+                let attempts = task.attempt + 1;
+                let name = task.job.input.name().to_string();
+                let failed = failed_record(name, &format!("{failure} ({attempts} attempts)"));
+                (failed, false)
+            }
+        };
+        let Some(done) = task.ticket.claim() else {
+            return false;
+        };
+        self.metrics.record_outcome(&outcome);
+        // Never cache or audit a synthesized failure: the next request
+        // for this net deserves a fresh computation, and there is
+        // nothing to re-derive.
+        let cache_key = task.job.cache_key.filter(|_| fresh);
+        if let Some(key) = cache_key {
+            self.cache.insert(key, outcome.clone(), worker);
+            self.fire_store_fault(key);
+        }
+        if fresh {
+            self.maybe_verify(cache_key, &task.job.input, &outcome);
+        }
+        done(Ok(Served {
+            outcome,
+            cache: CacheStatus::Miss,
+            worker,
+        }));
+        true
+    }
+
+    /// Arms the [`Seam::Store`] fault seam right after a cache insert and
+    /// applies any state-corruption fault to the state just committed —
+    /// modelling bit rot between the write and the next read, which the
+    /// verify-on-hit checks must turn into a detected eviction instead of
+    /// a served lie.
+    fn fire_store_fault(&self, key: u64) {
+        let Some(plan) = self.plan.as_deref() else {
+            return;
+        };
+        match plan.fire(Seam::Store) {
+            Some(FaultAction::BitFlipCacheEntry) => {
+                self.cache.corrupt(key, false);
+            }
+            Some(FaultAction::BitFlipMemoEntry) => {
+                if let Some(memo) = self.cfg.memo.as_ref() {
+                    memo.corrupt_any();
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// Deterministic sampler for the audit thread: response `n` is
+    /// sampled iff `⌊n·rate⌋` advances, which spaces samples evenly at
+    /// any rate and samples everything at 1.0.
+    fn should_sample(&self) -> bool {
+        if self.verify_rate <= 0.0 {
+            return false;
+        }
+        let n = self.verify_seen.fetch_add(1, Ordering::Relaxed) + 1;
+        let scaled = |k: u64| (k as f64 * self.verify_rate).floor();
+        scaled(n) > scaled(n - 1)
+    }
+
+    /// Hands this response to the audit thread if it wins the sample.
+    /// Called on every serving path — fresh computations AND cache hits —
+    /// so replayed corruption is as auditable as fresh corruption.
+    fn maybe_verify(
+        self: &Arc<Self>,
+        cache_key: Option<u64>,
+        input: &NetInput,
+        outcome: &NetOutcome,
+    ) {
+        if !self.sampling.load(Ordering::SeqCst) || !self.should_sample() {
+            return;
+        }
+        *self.audits_pending() += 1;
+        let task = VerifyTask {
+            core: Arc::clone(self),
+            cache_key,
+            input: input.clone(),
+            outcome: outcome.clone(),
+        };
+        if auditor().send(task).is_err() {
+            self.audit_done();
+        }
+    }
+
+    fn audits_pending(&self) -> MutexGuard<'_, usize> {
+        self.audits_pending
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Marks one sample audited.
+    fn audit_done(&self) {
+        let mut pending = self.audits_pending();
+        *pending -= 1;
+        if *pending == 0 {
+            self.audited.notify_all();
+        }
+    }
+
+    /// Waits until every sample taken so far has been audited.
+    fn wait_for_audits(&self) {
+        let mut pending = self.audits_pending();
+        while *pending > 0 {
+            pending = self
+                .audited
+                .wait(pending)
+                .unwrap_or_else(|e| e.into_inner());
+        }
+    }
 }
 
-/// Holds a dequeued task and sends the "died" reply if the worker
-/// unwinds or exits without completing it — the supervisor's detection
-/// signal. The live count is decremented *before* that reply is sent,
-/// so by the time the engine reacts to a death the pool accounting
-/// already reflects it.
+/// Holds a dequeued task and, if the worker unwinds or exits without
+/// completing it, reports the death: the live count drops first, then
+/// [`Core::finish`] respawns the pool and retries or fails the request.
 struct TaskGuard<'a> {
-    shared: &'a WorkerShared,
-    reply: mpsc::Sender<Done>,
-    payload: Option<(usize, u32, Job, CancelToken)>,
+    core: &'a Arc<Core>,
+    task: Option<Task>,
     worker: usize,
 }
 
 impl TaskGuard<'_> {
-    fn input_name(&self) -> String {
-        self.payload
-            .as_ref()
-            .map(|(_, _, job, _)| job.input.name().to_string())
-            .unwrap_or_default()
+    fn input(&self) -> &NetInput {
+        &self.task.as_ref().expect("task in hand").job.input
     }
 
-    /// Sends the completed (or stale-dropped) reply; returns whether the
-    /// requester was still listening.
-    fn complete(&mut self, outcome: Option<NetOutcome>, stale: bool) -> bool {
-        match self.payload.take() {
-            Some((idx, attempt, job, cancel)) => self
-                .reply
-                .send(Done {
-                    idx,
-                    attempt,
-                    job,
-                    cancel,
-                    outcome,
-                    stale,
-                    worker: self.worker,
-                })
-                .is_ok(),
-            None => true,
-        }
+    /// Finishes the task with a record; `false` means the request had
+    /// already been answered.
+    fn complete(&mut self, outcome: NetOutcome) -> bool {
+        let task = self.task.take().expect("task in hand");
+        self.core.finish(task, Some(outcome), self.worker)
     }
 }
 
 impl Drop for TaskGuard<'_> {
     fn drop(&mut self) {
-        if self.payload.is_some() {
-            // Dying with the task in hand: account the death first, then
-            // signal it, so the supervisor's respawn math is never early.
-            self.shared.live.fetch_sub(1, Ordering::SeqCst);
-            let _ = self.complete(None, false);
+        if let Some(task) = self.task.take() {
+            // Dying with the task in hand: account the death first, so
+            // the supervisor's respawn math is never early.
+            self.core.live.fetch_sub(1, Ordering::SeqCst);
+            self.core.finish(task, None, self.worker);
         }
     }
 }
 
-/// What the engine decided about one worker reply.
-//
-// `Final` dwarfs `Retried`, but a `Triage` lives only for the match
-// immediately after triage returns — boxing the outcome would cost an
-// allocation per request to shrink a value that never outlives a frame.
-#[allow(clippy::large_enum_variant)]
-enum Triage {
-    /// The task was resubmitted; wait for another reply.
-    Retried,
-    /// The record (possibly a synthesized failure) is final.
-    Final {
-        idx: usize,
-        outcome: NetOutcome,
-        cache_key: Option<u64>,
-        worker: usize,
-        /// The original job, for the sampled re-verification audit
-        /// (`None` when the record is a synthesized failure — there is
-        /// nothing to audit).
-        job: Option<Job>,
-    },
-}
-
-/// One response handed to the audit thread: everything needed to
-/// independently re-derive the record's figures.
-struct VerifyTask {
-    cache_key: Option<u64>,
-    input: NetInput,
-    outcome: NetOutcome,
-}
-
-/// The worker-pool execution engine. Create once, submit batches
-/// ([`Engine::run_jobs`]) or single requests ([`Engine::optimize`] /
-/// [`Engine::try_optimize`]) from any number of threads; drop to shut
-/// the pool down.
+/// The worker-pool execution engine. Create once, submit requests
+/// ([`Engine::submit`]) or use the blocking wrappers
+/// ([`Engine::run_jobs`], [`Engine::optimize`], [`Engine::try_optimize`])
+/// from any number of threads; drop to shut the pool down.
 pub struct Engine {
-    tx: Mutex<Option<SyncSender<Task>>>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
-    shared: Arc<WorkerShared>,
-    cfg: Arc<PipelineConfig>,
+    core: Arc<Core>,
     cfg_digest: u64,
-    cache: Arc<SolutionCache>,
-    metrics: Arc<Metrics>,
-    jobs: usize,
-    queue_depth: usize,
-    max_retries: u32,
     request_deadline: Option<Duration>,
     shutting_down: AtomicBool,
-    next_worker_id: AtomicUsize,
     started: Instant,
-    /// Sampled re-verification (see [`EngineOptions::verify_sample_rate`]).
-    verify_rate: f64,
-    verify_seen: AtomicU64,
-    verify_tx: Option<mpsc::Sender<VerifyTask>>,
-    verify_handle: Option<JoinHandle<()>>,
     _hush: PanicHush,
 }
 
@@ -390,120 +707,87 @@ impl Engine {
         } else {
             opts.queue_depth
         };
-        let cfg = Arc::new(cfg);
         // The config fingerprint folds the library, budget, and every
         // optimizer flag into the cache key, so two engines with
         // different configs never alias records. `Debug` output is
         // stable within a process, which is all an in-memory cache needs.
         let cfg_digest = digest(&[format!("{cfg:?}").as_bytes()]);
-        // Bounded queue: submitters block (or shed, for try_optimize)
-        // once the pool is saturated instead of buffering an unbounded
-        // batch in channel memory.
-        let (tx, rx) = mpsc::sync_channel::<Task>(queue_depth);
-        let metrics = Arc::new(Metrics::default());
-        let shared = Arc::new(WorkerShared {
-            rx: Mutex::new(rx),
-            cfg: Arc::clone(&cfg),
+        let verify_rate = opts.verify_sample_rate.clamp(0.0, 1.0);
+        if verify_rate > 0.0 {
+            auditor();
+        }
+        let core = Arc::new(Core {
+            // Bounded queue: submitters shed (or, in the blocking
+            // wrappers, wait) once the pool is saturated instead of
+            // buffering an unbounded batch.
+            queue: TaskQueue {
+                state: Mutex::new(QueueState {
+                    tasks: VecDeque::with_capacity(queue_depth),
+                    closed: false,
+                }),
+                ready: Condvar::new(),
+                room: Condvar::new(),
+                depth: queue_depth,
+            },
+            cfg,
             plan: opts.fault_plan,
-            metrics: Arc::clone(&metrics),
+            cache: SolutionCache::new(opts.cache_capacity, opts.cache_shards),
+            metrics: Metrics::default(),
+            max_retries: opts.max_retries,
+            workers: Mutex::new(Vec::with_capacity(jobs)),
+            next_worker_id: AtomicUsize::new(0),
             live: AtomicUsize::new(0),
             surplus: AtomicUsize::new(0),
             target: jobs,
-            queued: AtomicUsize::new(0),
-        });
-        let cache = Arc::new(SolutionCache::new(opts.cache_capacity, opts.cache_shards));
-        let verify_rate = opts.verify_sample_rate.clamp(0.0, 1.0);
-        let (verify_tx, verify_handle) = if verify_rate > 0.0 {
-            let (vtx, vrx) = mpsc::channel::<VerifyTask>();
-            let vcfg = Arc::clone(&cfg);
-            let vcache = Arc::clone(&cache);
-            let vmetrics = Arc::clone(&metrics);
-            let handle = std::thread::Builder::new()
-                .name("buffopt-verifier".into())
-                .spawn(move || verifier_loop(vrx, &vcfg, &vcache, &vmetrics))
-                .expect("spawn verifier thread");
-            (Some(vtx), Some(handle))
-        } else {
-            (None, None)
-        };
-        let engine = Engine {
-            tx: Mutex::new(Some(tx)),
-            workers: Mutex::new(Vec::with_capacity(jobs)),
-            shared,
-            cfg,
-            cfg_digest,
-            cache,
-            metrics,
-            jobs,
-            queue_depth,
-            max_retries: opts.max_retries,
-            request_deadline: opts.request_deadline,
-            shutting_down: AtomicBool::new(false),
-            next_worker_id: AtomicUsize::new(0),
-            started: Instant::now(),
             verify_rate,
             verify_seen: AtomicU64::new(0),
-            verify_tx,
-            verify_handle,
-            _hush: hush_panics(),
-        };
-        {
-            let mut workers = engine.workers.lock().unwrap_or_else(|e| e.into_inner());
-            for _ in 0..jobs {
-                let handle = engine.spawn_worker();
-                workers.push(handle);
-            }
+            sampling: AtomicBool::new(verify_rate > 0.0),
+            audits_pending: Mutex::new(0),
+            audited: Condvar::new(),
+        });
+        for _ in 0..jobs {
+            let handle = core.spawn_worker();
+            core.workers().push(handle);
         }
-        engine
-    }
-
-    fn spawn_worker(&self) -> JoinHandle<()> {
-        let wid = self.next_worker_id.fetch_add(1, Ordering::SeqCst);
-        let shared = Arc::clone(&self.shared);
-        // Count the worker as live from the moment it is promised, so
-        // concurrent supervisors never over-spawn.
-        shared.live.fetch_add(1, Ordering::SeqCst);
-        std::thread::Builder::new()
-            .name(format!("buffopt-worker-{wid}"))
-            .spawn(move || worker_loop(wid, &shared))
-            .expect("spawn worker thread")
+        Engine {
+            core,
+            cfg_digest,
+            request_deadline: opts.request_deadline,
+            shutting_down: AtomicBool::new(false),
+            started: Instant::now(),
+            _hush: hush_panics(),
+        }
     }
 
     /// Worker threads the pool targets (its nominal size).
     pub fn jobs(&self) -> usize {
-        self.jobs
-    }
-
-    /// The bounded submission queue's capacity (resolved from
-    /// [`EngineOptions::queue_depth`], so never zero).
-    pub fn queue_depth(&self) -> usize {
-        self.queue_depth
+        self.core.target
     }
 
     /// Tasks submitted but not yet picked up by a worker right now — a
     /// racy instantaneous gauge, suitable for stats reporting only.
     pub fn queue_len(&self) -> usize {
-        self.shared.queued.load(Ordering::SeqCst)
+        self.core.queue.lock().tasks.len()
     }
 
     /// Worker threads alive right now (may briefly exceed
     /// [`Engine::jobs`] while a stalled worker's surplus replacement is
     /// active).
     pub fn live_workers(&self) -> usize {
-        self.shared.live.load(Ordering::SeqCst)
+        self.core.live.load(Ordering::SeqCst)
     }
 
     /// The configuration every net runs under.
     pub fn config(&self) -> &PipelineConfig {
-        &self.cfg
+        &self.core.cfg
     }
 
     pub(crate) fn metrics(&self) -> &Metrics {
-        &self.metrics
+        &self.core.metrics
     }
 
     pub(crate) fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.shared.plan.as_deref()
+        self.core.plan.as_deref()
     }
 
     /// The cache key for a net identified by `name` with raw content
@@ -522,48 +806,28 @@ impl Engine {
     /// table + pool size).
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let memo = self
+            .core
             .cfg
             .memo
             .as_ref()
             .map(|t| t.stats())
             .unwrap_or_default();
-        self.metrics
-            .snapshot(self.cache.stats(), memo, self.jobs, self.started.elapsed())
+        self.core.metrics.snapshot(
+            self.core.cache.stats(),
+            memo,
+            self.core.target,
+            self.started.elapsed(),
+        )
     }
 
-    /// Closes the sampled-verification channel, waits for the auditor to
-    /// drain its backlog, and returns the final `(samples, failures)`
-    /// tally. For batch runs that want a complete audit before printing
-    /// their summary; sampling stops afterwards. `(0, 0)` when sampling
-    /// was off.
+    /// Stops sampling, waits for the auditor to finish this engine's
+    /// backlog, and returns the final `(samples, failures)` tally. For
+    /// batch runs that want a complete audit before printing their
+    /// summary. `(0, 0)` when sampling was off.
     pub fn drain_verification(&mut self) -> (u64, u64) {
-        self.verify_tx.take();
-        if let Some(v) = self.verify_handle.take() {
-            let _ = v.join();
-        }
-        self.metrics.verify_tally()
-    }
-
-    /// Arms the [`Seam::Store`] fault seam right after a cache insert and
-    /// applies any state-corruption fault to the state just committed —
-    /// modelling bit rot between the write and the next read, which the
-    /// verify-on-hit checks must turn into a detected eviction instead of
-    /// a served lie.
-    fn fire_store_fault(&self, key: u64) {
-        let Some(plan) = self.fault_plan() else {
-            return;
-        };
-        match plan.fire(Seam::Store) {
-            Some(FaultAction::BitFlipCacheEntry) => {
-                self.cache.corrupt(key, false);
-            }
-            Some(FaultAction::BitFlipMemoEntry) => {
-                if let Some(memo) = self.cfg.memo.as_ref() {
-                    memo.corrupt_any();
-                }
-            }
-            _ => {}
-        }
+        self.core.sampling.store(false, Ordering::SeqCst);
+        self.core.wait_for_audits();
+        self.core.metrics.verify_tally()
     }
 
     /// Test-only: corrupts the cached record for `key` in place (see
@@ -573,40 +837,13 @@ impl Engine {
     /// sampled audit.
     #[doc(hidden)]
     pub fn corrupt_cache_entry(&self, key: u64, rehash: bool) -> bool {
-        self.cache.corrupt(key, rehash)
+        self.core.cache.corrupt(key, rehash)
     }
 
-    /// Deterministic sampler for the audit thread: response `n` is
-    /// sampled iff `⌊n·rate⌋` advances, which spaces samples evenly at
-    /// any rate and samples everything at 1.0.
-    fn should_sample(&self) -> bool {
-        if self.verify_rate <= 0.0 {
-            return false;
-        }
-        let n = self.verify_seen.fetch_add(1, Ordering::Relaxed) + 1;
-        let scaled = |k: u64| (k as f64 * self.verify_rate).floor();
-        scaled(n) > scaled(n - 1)
-    }
-
-    /// Hands this response to the audit thread if it wins the sample.
-    /// Called on every serving path — fresh computations AND cache hits —
-    /// so replayed corruption is as auditable as fresh corruption.
-    fn maybe_verify(&self, cache_key: Option<u64>, input: &NetInput, outcome: &NetOutcome) {
-        let Some(tx) = &self.verify_tx else { return };
-        if !self.should_sample() {
-            return;
-        }
-        let _ = tx.send(VerifyTask {
-            cache_key,
-            input: input.clone(),
-            outcome: outcome.clone(),
-        });
-    }
-
-    /// Stops admitting new requests: every subsequent
-    /// [`Engine::try_optimize`] returns [`Rejection::ShuttingDown`].
-    /// Work already admitted (queued or in flight) still completes —
-    /// dropping the engine joins the workers after the queue drains.
+    /// Stops admitting new requests: every subsequent submission is
+    /// answered [`Rejection::ShuttingDown`]. Work already admitted
+    /// (queued or in flight) still completes — dropping the engine joins
+    /// the workers after the queue drains.
     pub fn begin_shutdown(&self) {
         self.shutting_down.store(true, Ordering::SeqCst);
     }
@@ -616,262 +853,138 @@ impl Engine {
         self.shutting_down.load(Ordering::SeqCst)
     }
 
-    fn sender(&self) -> Option<SyncSender<Task>> {
-        self.tx.lock().unwrap_or_else(|e| e.into_inner()).clone()
+    /// Submits one request without blocking: cache lookup, then a
+    /// shed-don't-block admission that arms the request deadline. A hit,
+    /// a full queue ([`Rejection::Overloaded`]) and a shutting-down
+    /// engine call `on_done` inline, before this returns; otherwise a
+    /// worker calls it once the record is final (after any retries).
+    /// `cancel` is the caller's handle on the run: trip it (client
+    /// disconnect, watchdog) to abort at the next stride checkpoint — a
+    /// cancelled run is answered as a `failed` record carrying
+    /// `cancelled: <reason>`, not as a rejection. The caller enforces
+    /// the deadline through the returned [`Ticket`].
+    pub fn submit(
+        &self,
+        job: Job,
+        cancel: CancelToken,
+        on_done: impl FnOnce(Answer) + Send + 'static,
+    ) -> Ticket {
+        let on_done: Completion = Box::new(on_done);
+        let Some((job, on_done)) = self.answer_inline(job, on_done) else {
+            return self.answered(cancel);
+        };
+        // The deadline arms here — at admission — so time spent queued
+        // behind other requests counts against it.
+        let deadline = self.request_deadline.map(|d| Instant::now() + d);
+        let state = Arc::new(TicketState::new(Some(on_done), cancel, deadline));
+        let task = Task {
+            attempt: 0,
+            job,
+            ticket: Arc::clone(&state),
+        };
+        if !self.core.queue.try_push(task) {
+            self.core.metrics.record_rejection(Rejection::Overloaded);
+            let done = state.claim().expect("an unqueued ticket is unanswered");
+            done(Err(Rejection::Overloaded));
+            return self.answered(state.cancel.clone());
+        }
+        Ticket {
+            state,
+            core: Arc::clone(&self.core),
+        }
     }
 
-    /// Reaps dead worker threads and spawns replacements until the pool
-    /// is back at target strength. Called whenever a death is detected;
-    /// idempotent and safe to call concurrently.
-    fn supervise(&self) {
-        let mut workers = self.workers.lock().unwrap_or_else(|e| e.into_inner());
-        let mut i = 0;
-        while i < workers.len() {
-            if workers[i].is_finished() {
-                let _ = workers.swap_remove(i).join();
-            } else {
-                i += 1;
+    /// The admission step every request path shares: refuses work during
+    /// shutdown and answers cache hits, calling `on_done` inline. Hands
+    /// the job back when it needs a worker.
+    fn answer_inline(&self, job: Job, on_done: Completion) -> Option<(Job, Completion)> {
+        if self.is_shutting_down() {
+            self.core.metrics.record_rejection(Rejection::ShuttingDown);
+            on_done(Err(Rejection::ShuttingDown));
+            return None;
+        }
+        self.core.metrics.record_request();
+        if let Some(key) = job.cache_key {
+            if let Some((outcome, worker)) = self.core.cache.get(key) {
+                self.core.maybe_verify(Some(key), &job.input, &outcome);
+                on_done(Ok(Served {
+                    outcome,
+                    cache: CacheStatus::Hit,
+                    worker,
+                }));
+                return None;
             }
         }
-        // The death guard decrements `live` before signalling, so this
-        // count already reflects the death being reacted to.
-        while self.shared.live.load(Ordering::SeqCst) < self.jobs {
-            workers.push(self.spawn_worker());
-            self.metrics.record_respawn();
+        Some((job, on_done))
+    }
+
+    /// The ticket of a request answered inline: nothing left to expire.
+    fn answered(&self, cancel: CancelToken) -> Ticket {
+        Ticket {
+            state: Arc::new(TicketState::new(None, cancel, None)),
+            core: Arc::clone(&self.core),
         }
     }
 
-    /// Restores pool capacity around a stalled worker: one surplus
-    /// credit plus one extra thread. The stalled worker retires itself
-    /// against the credit when it eventually finishes.
-    fn add_surplus_worker(&self) {
-        self.shared.surplus.fetch_add(1, Ordering::SeqCst);
-        self.metrics.record_respawn();
-        let handle = self.spawn_worker();
-        self.workers
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(handle);
+    /// Queues a job for the blocking wrappers: no deadline, and waits for
+    /// queue room instead of shedding.
+    fn queue_wait(&self, job: Job, on_done: Completion) {
+        self.core.queue.push_wait(Task {
+            attempt: 0,
+            job,
+            ticket: Arc::new(TicketState::new(Some(on_done), CancelToken::new(), None)),
+        });
     }
 
-    /// Serves one request with admission control: cache lookup, then a
-    /// shed-don't-block submit, then a deadline-bounded wait, with
-    /// supervised retries if the worker dies. This is the TCP service's
-    /// entry point.
+    /// Serves one request with admission control and waits for the
+    /// answer: [`Engine::submit`] plus a deadline-bounded wait.
     pub fn try_optimize(&self, job: Job) -> Result<Served, Rejection> {
-        self.serve_one(job, true, CancelToken::new())
+        self.try_optimize_with(job, CancelToken::new())
     }
 
     /// [`Engine::try_optimize`] with a caller-held [`CancelToken`]: the
-    /// caller (the TCP service's disconnect monitor, a watchdog) trips
-    /// the token to abort the run at its next stride checkpoint —
-    /// microseconds, not the next per-net boundary — and the worker slot
-    /// frees immediately. A cancelled run comes back as a `failed`
-    /// record carrying `cancelled: <reason>`, not as a rejection.
+    /// caller (a watchdog, a disconnect monitor) trips the token to abort
+    /// the run at its next stride checkpoint — microseconds, not the next
+    /// per-net boundary — and the worker slot frees immediately. A
+    /// cancelled run comes back as a `failed` record carrying
+    /// `cancelled: <reason>`, not as a rejection.
     pub fn try_optimize_with(&self, job: Job, cancel: CancelToken) -> Result<Served, Rejection> {
-        self.serve_one(job, true, cancel)
+        let (tx, rx) = mpsc::sync_channel(1);
+        let ticket = self.submit(job, cancel, move |answer| {
+            let _ = tx.send(answer);
+        });
+        if let Some(deadline) = ticket.deadline() {
+            match rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+                Ok(answer) => return answer,
+                // Expiring answers the ticket unless a worker just did;
+                // either way exactly one answer is on its way.
+                Err(_) => ticket.expire(),
+            }
+        }
+        rx.recv().unwrap_or(Err(Rejection::ShuttingDown))
     }
 
-    /// Serves one request, blocking for queue space and without a
-    /// request deadline (for in-process callers that prefer backpressure
-    /// over shedding). Worker-death supervision and retries still apply;
-    /// the only rejection left — submitting during shutdown — surfaces
-    /// as a `failed` record.
+    /// Serves one request, waiting for queue room and without a request
+    /// deadline (for in-process callers that prefer backpressure over
+    /// shedding). Worker-death supervision and retries still apply; the
+    /// only rejection left — submitting during shutdown — surfaces as a
+    /// `failed` record.
     pub fn optimize(&self, job: Job) -> Served {
         let name = job.input.name().to_string();
-        match self.serve_one(job, false, CancelToken::new()) {
+        let (tx, rx) = mpsc::sync_channel(1);
+        let on_done: Completion = Box::new(move |answer| {
+            let _ = tx.send(answer);
+        });
+        if let Some((job, on_done)) = self.answer_inline(job, on_done) {
+            self.queue_wait(job, on_done);
+        }
+        match rx.recv().unwrap_or(Err(Rejection::ShuttingDown)) {
             Ok(served) => served,
             Err(r) => Served {
                 outcome: failed_record(name, &format!("engine is {}", r.as_str())),
                 cache: CacheStatus::Miss,
                 worker: 0,
             },
-        }
-    }
-
-    fn serve_one(&self, job: Job, shed: bool, cancel: CancelToken) -> Result<Served, Rejection> {
-        if self.is_shutting_down() {
-            self.metrics.record_rejection(Rejection::ShuttingDown);
-            return Err(Rejection::ShuttingDown);
-        }
-        self.metrics.record_request();
-        if let Some(key) = job.cache_key {
-            if let Some((outcome, worker)) = self.cache.get(key) {
-                self.maybe_verify(Some(key), &job.input, &outcome);
-                return Ok(Served {
-                    outcome,
-                    cache: CacheStatus::Hit,
-                    worker,
-                });
-            }
-        }
-        let Some(tx) = self.sender() else {
-            self.metrics.record_rejection(Rejection::ShuttingDown);
-            return Err(Rejection::ShuttingDown);
-        };
-        let (reply, inbox) = mpsc::channel();
-        // The deadline arms here — at admission — so time spent queued
-        // behind other requests counts against it.
-        let deadline = if shed {
-            self.request_deadline.map(|d| Instant::now() + d)
-        } else {
-            None
-        };
-        let task = Task {
-            idx: 0,
-            attempt: 0,
-            job,
-            deadline,
-            cancel: cancel.clone(),
-            reply: reply.clone(),
-        };
-        if shed {
-            match tx.try_send(task) {
-                Ok(()) => self.shared.queued.fetch_add(1, Ordering::SeqCst),
-                Err(TrySendError::Full(_)) => {
-                    self.metrics.record_rejection(Rejection::Overloaded);
-                    return Err(Rejection::Overloaded);
-                }
-                Err(TrySendError::Disconnected(_)) => {
-                    self.metrics.record_rejection(Rejection::ShuttingDown);
-                    return Err(Rejection::ShuttingDown);
-                }
-            };
-        } else if tx.send(task).is_err() {
-            self.metrics.record_rejection(Rejection::ShuttingDown);
-            return Err(Rejection::ShuttingDown);
-        } else {
-            self.shared.queued.fetch_add(1, Ordering::SeqCst);
-        }
-        loop {
-            let received = match deadline {
-                Some(d) => inbox.recv_timeout(d.saturating_duration_since(Instant::now())),
-                None => inbox.recv().map_err(|_| RecvTimeoutError::Disconnected),
-            };
-            let done = match received {
-                Ok(done) => done,
-                Err(RecvTimeoutError::Timeout) => {
-                    // Trip the token first: the worker grinding on this
-                    // request aborts at its next stride checkpoint and
-                    // retires against the surplus credit, instead of
-                    // computing to completion for nobody.
-                    if cancel.cancel(CancelReason::Deadline) {
-                        self.metrics.record_cancelled(CancelReason::Deadline);
-                    }
-                    self.metrics.record_rejection(Rejection::DeadlineExceeded);
-                    // A worker is (or will be) stalled on this request
-                    // past its deadline; restore pool capacity around it.
-                    self.add_surplus_worker();
-                    return Err(Rejection::DeadlineExceeded);
-                }
-                // `reply` is alive in this scope, so a disconnect cannot
-                // happen; treat it like a timeout for robustness.
-                Err(RecvTimeoutError::Disconnected) => {
-                    self.metrics.record_rejection(Rejection::DeadlineExceeded);
-                    return Err(Rejection::DeadlineExceeded);
-                }
-            };
-            if done.stale {
-                // A worker dropped the task unstarted because its
-                // deadline passed while it sat in the queue.
-                self.metrics.record_stale_drop();
-                self.metrics.record_rejection(Rejection::DeadlineExceeded);
-                return Err(Rejection::DeadlineExceeded);
-            }
-            match self.triage(done, deadline, &reply, &tx) {
-                Triage::Retried => continue,
-                Triage::Final {
-                    outcome,
-                    cache_key,
-                    worker,
-                    job,
-                    ..
-                } => {
-                    self.metrics.record_outcome(&outcome);
-                    if let Some(key) = cache_key {
-                        self.cache.insert(key, outcome.clone(), worker);
-                        self.fire_store_fault(key);
-                    }
-                    if let Some(job) = &job {
-                        self.maybe_verify(cache_key, &job.input, &outcome);
-                    }
-                    return Ok(Served {
-                        outcome,
-                        cache: CacheStatus::Miss,
-                        worker,
-                    });
-                }
-            }
-        }
-    }
-
-    /// Decides what to do with one worker reply: accept the record,
-    /// retry after a death or a wrong-net record, or give up and fail
-    /// just this request.
-    fn triage(
-        &self,
-        done: Done,
-        deadline: Option<Instant>,
-        reply: &mpsc::Sender<Done>,
-        tx: &SyncSender<Task>,
-    ) -> Triage {
-        let failure = match &done.outcome {
-            None => {
-                self.metrics.record_worker_death();
-                self.supervise();
-                Some("worker died while holding the request")
-            }
-            Some(outcome) if outcome.name != done.job.input.name() => {
-                // Integrity check: a record for the wrong net means the
-                // worker (or an injected fault) corrupted its output.
-                self.metrics.record_bad_output();
-                Some("worker returned a record for the wrong net")
-            }
-            Some(_) => None,
-        };
-        let Some(failure) = failure else {
-            return Triage::Final {
-                idx: done.idx,
-                outcome: done.outcome.expect("present when no failure"),
-                cache_key: done.job.cache_key,
-                worker: done.worker,
-                job: Some(done.job),
-            };
-        };
-        let name = done.job.input.name().to_string();
-        if done.attempt < self.max_retries {
-            self.metrics.record_retry();
-            let resubmit = Task {
-                idx: done.idx,
-                attempt: done.attempt + 1,
-                job: done.job,
-                deadline,
-                cancel: done.cancel,
-                reply: reply.clone(),
-            };
-            if tx.send(resubmit).is_ok() {
-                self.shared.queued.fetch_add(1, Ordering::SeqCst);
-                return Triage::Retried;
-            }
-            // The queue closed under us (shutdown); fall through to a
-            // failure record.
-            return Triage::Final {
-                idx: done.idx,
-                outcome: failed_record(name, "engine shut down while retrying the request"),
-                cache_key: None,
-                worker: done.worker,
-                job: None,
-            };
-        }
-        let attempts = done.attempt + 1;
-        Triage::Final {
-            idx: done.idx,
-            outcome: failed_record(name, &format!("{failure} ({attempts} attempts)")),
-            // Never cache a synthesized failure: the next request for
-            // this net deserves a fresh computation.
-            cache_key: None,
-            worker: done.worker,
-            job: None,
         }
     }
 
@@ -885,8 +998,10 @@ impl Engine {
 
     /// [`Engine::run_jobs`], invoking `on_done(idx, record)` the moment
     /// each record is final (in completion order, not input order; cache
-    /// hits fire inline during submission). Batch drivers use the
-    /// callback to checkpoint completed records before the run finishes.
+    /// hits first). Batch drivers use the callback to checkpoint
+    /// completed records before the run finishes. The calling thread
+    /// answers the hits, then feeds the misses to the queue, waiting for
+    /// room, and settles completions between submissions.
     pub fn run_jobs_with(
         &self,
         jobs: Vec<Job>,
@@ -896,92 +1011,47 @@ impl Engine {
         let n = jobs.len();
         let mut results: Vec<Option<NetOutcome>> = (0..n).map(|_| None).collect();
         let mut names: Vec<String> = jobs.iter().map(|j| j.input.name().to_string()).collect();
-        let (reply, inbox) = mpsc::channel::<Done>();
-        let mut queue: Vec<Task> = Vec::new();
-        for (idx, job) in jobs.into_iter().enumerate() {
-            self.metrics.record_request();
-            if let Some(key) = job.cache_key {
-                if let Some((outcome, _)) = self.cache.get(key) {
-                    self.maybe_verify(Some(key), &job.input, &outcome);
-                    on_done(idx, &outcome);
-                    results[idx] = Some(outcome);
-                    continue;
-                }
-            }
-            queue.push(Task {
-                idx,
-                attempt: 0,
-                job,
-                deadline: None,
-                cancel: CancelToken::new(),
-                reply: reply.clone(),
+        let mut settle = |idx: usize, answer: Answer| {
+            let outcome = answer.map(|s| s.outcome).unwrap_or_else(|_| {
+                failed_record(
+                    std::mem::take(&mut names[idx]),
+                    "engine shut down before this net was computed",
+                )
             });
-        }
-        let pending = queue.len();
-        if pending > 0 {
-            if let Some(tx) = self.sender() {
-                // Feed from a separate thread: the bounded queue gives
-                // backpressure, so the feeder blocks while this thread
-                // drains replies — no deadlock however large the batch.
-                let feeder_tx = tx.clone();
-                let feeder_shared = Arc::clone(&self.shared);
-                let feeder = std::thread::spawn(move || {
-                    for task in queue {
-                        if feeder_tx.send(task).is_err() {
-                            break;
-                        }
-                        feeder_shared.queued.fetch_add(1, Ordering::SeqCst);
-                    }
-                });
-                let mut completed = 0usize;
-                while completed < pending {
-                    // `reply` is alive in this scope, so the channel
-                    // cannot disconnect while work is outstanding.
-                    let Ok(done) = inbox.recv() else { break };
-                    // Batch tasks carry no deadline, so stale drops
-                    // cannot happen here.
-                    match self.triage(done, None, &reply, &tx) {
-                        Triage::Retried => continue,
-                        Triage::Final {
-                            idx,
-                            outcome,
-                            cache_key,
-                            worker,
-                            job,
-                        } => {
-                            self.metrics.record_outcome(&outcome);
-                            if let Some(key) = cache_key {
-                                self.cache.insert(key, outcome.clone(), worker);
-                                self.fire_store_fault(key);
-                            }
-                            if let Some(job) = &job {
-                                self.maybe_verify(cache_key, &job.input, &outcome);
-                            }
-                            on_done(idx, &outcome);
-                            results[idx] = Some(outcome);
-                            completed += 1;
-                        }
-                    }
-                }
-                feeder.join().expect("feeder thread");
-            }
-        }
-        let outcomes = results
-            .iter_mut()
+            on_done(idx, &outcome);
+            results[idx] = Some(outcome);
+        };
+        let (tx, rx) = mpsc::channel::<(usize, Answer)>();
+        // Every hit is answered before any miss is queued, so no hit
+        // waits behind computation.
+        let misses: Vec<_> = jobs
+            .into_iter()
             .enumerate()
-            .map(|(idx, slot)| {
-                slot.take().unwrap_or_else(|| {
-                    let rec = failed_record(
-                        std::mem::take(&mut names[idx]),
-                        "engine shut down before this net was computed",
-                    );
-                    on_done(idx, &rec);
-                    rec
-                })
+            .filter_map(|(idx, job)| {
+                let tx = tx.clone();
+                let on_done: Completion = Box::new(move |answer| {
+                    let _ = tx.send((idx, answer));
+                });
+                self.answer_inline(job, on_done)
             })
             .collect();
+        for (job, on_done) in misses {
+            while let Ok((idx, answer)) = rx.try_recv() {
+                settle(idx, answer);
+            }
+            self.queue_wait(job, on_done);
+        }
+        // Every completion holds a sender clone until it is called, so
+        // the channel disconnects exactly when the last record is in.
+        drop(tx);
+        while let Ok((idx, answer)) = rx.recv() {
+            settle(idx, answer);
+        }
         BatchReport {
-            outcomes,
+            outcomes: results
+                .into_iter()
+                .map(|slot| slot.expect("every job is answered"))
+                .collect(),
             wall: start.elapsed(),
         }
     }
@@ -989,48 +1059,63 @@ impl Engine {
 
 impl Drop for Engine {
     fn drop(&mut self) {
-        // Closing the channel drains the queue and lets workers exit.
-        self.tx.lock().unwrap_or_else(|e| e.into_inner()).take();
-        let workers = std::mem::take(&mut *self.workers.lock().unwrap_or_else(|e| e.into_inner()));
-        for w in workers {
-            let _ = w.join();
+        // Closing the queue lets workers exit once it drains. A worker
+        // dying during the drain may respawn a replacement, so join until
+        // no handles are left.
+        self.core.queue.close();
+        loop {
+            let workers = std::mem::take(&mut *self.core.workers());
+            if workers.is_empty() {
+                break;
+            }
+            for w in workers {
+                let _ = w.join();
+            }
         }
-        // Then drain the audit backlog: closing the sample channel lets
-        // the verifier finish its queue and exit, so every sample taken
-        // before shutdown is actually audited.
-        self.verify_tx.take();
-        if let Some(v) = self.verify_handle.take() {
-            let _ = v.join();
-        }
+        // Then wait out the audit backlog, so every sample taken before
+        // shutdown is actually audited.
+        self.core.wait_for_audits();
     }
 }
 
-/// The audit thread (see [`EngineOptions::verify_sample_rate`]): drains
-/// sampled responses and independently re-derives each record's audited
-/// figures, off the serving path. Every received sample counts
-/// `integrity.verify_samples`; a mismatch counts
-/// `integrity.verify_failures` and evicts the record's cache entry so a
-/// corrupted record is never served again.
-fn verifier_loop(
-    rx: mpsc::Receiver<VerifyTask>,
-    cfg: &PipelineConfig,
-    cache: &SolutionCache,
-    metrics: &Metrics,
-) {
+/// The process's one audit thread (see
+/// [`EngineOptions::verify_sample_rate`]), shared by every engine and
+/// started by the first engine that samples.
+fn auditor() -> &'static mpsc::Sender<VerifyTask> {
+    static AUDITOR: OnceLock<mpsc::Sender<VerifyTask>> = OnceLock::new();
+    AUDITOR.get_or_init(|| {
+        let (tx, rx) = mpsc::channel();
+        std::thread::Builder::new()
+            .name("buffopt-auditor".into())
+            .spawn(move || verifier_loop(rx))
+            .expect("spawn auditor thread");
+        tx
+    })
+}
+
+/// The audit thread's loop: drains sampled responses and independently
+/// re-derives each record's audited figures, off the serving path. Every
+/// received sample counts `integrity.verify_samples` on its engine; a
+/// mismatch counts `integrity.verify_failures` and evicts the record's
+/// cache entry so a corrupted record is never served again.
+fn verifier_loop(rx: mpsc::Receiver<VerifyTask>) {
     let mut ws = buffopt::DpWorkspace::new();
     while let Ok(task) = rx.recv() {
-        metrics.record_verify_sample();
-        match reverify_outcome(&mut ws, &task.input, cfg, &task.outcome) {
-            Reverify::Consistent | Reverify::NotApplicable => {}
-            Reverify::Mismatch(_why) => {
-                // Evict first, then count: anyone who observes the
-                // failure counter is guaranteed the lie is already gone.
-                if let Some(key) = task.cache_key {
-                    cache.remove(key);
-                }
-                metrics.record_verify_failure();
+        let core = &task.core;
+        core.metrics.record_verify_sample();
+        // A panicking audit costs its sample, not the shared thread.
+        let verdict = panic::catch_unwind(AssertUnwindSafe(|| {
+            reverify_outcome(&mut ws, &task.input, &core.cfg, &task.outcome)
+        }));
+        if let Ok(Reverify::Mismatch(_why)) = verdict {
+            // Evict first, then count: anyone who observes the failure
+            // counter is guaranteed the lie is already gone.
+            if let Some(key) = task.cache_key {
+                core.cache.remove(key);
             }
+            core.metrics.record_verify_failure();
         }
+        core.audit_done();
     }
 }
 
@@ -1049,50 +1134,45 @@ fn failed_record(name: String, why: &str) -> NetOutcome {
     o
 }
 
-fn worker_loop(wid: usize, shared: &WorkerShared) {
+fn worker_loop(wid: usize, core: &Arc<Core>) {
     // One DP workspace per worker thread, reused across every net this
     // worker serves. A run fully resets the scratch on entry, so reuse
     // after a caught panic is safe.
     let mut ws = buffopt::DpWorkspace::new();
     loop {
-        // Bleed off surplus capacity: if a stalled worker's replacement
-        // outlived the stall, whichever worker reaches this check first
-        // retires (threads are fungible).
-        if shared.live.load(Ordering::SeqCst) > shared.target && shared.try_retire() {
-            return;
-        }
-        // Hold the receiver lock only while dequeuing; contention here is
-        // negligible next to per-net optimization time.
-        let task = match shared.rx.lock().unwrap_or_else(|e| e.into_inner()).recv() {
-            Ok(t) => t,
-            Err(_) => return, // engine dropped the sender: shut down
-        };
-        // Saturating: a task could race its own dequeue with the
-        // submitter's post-send increment, so never underflow the gauge.
-        let _ = shared
-            .queued
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |q| q.checked_sub(1));
-        let deadline = task.deadline;
-        let cancel = task.cancel.clone();
-        let mut guard = TaskGuard {
-            shared,
-            reply: task.reply,
-            payload: Some((task.idx, task.attempt, task.job, task.cancel)),
-            worker: wid,
+        // Surplus capacity bleeds off only through the stalled worker, when
+        // it finds its request already answered by the expiry that spawned
+        // its replacement: a retirement check here would let the fresh
+        // replacement retire at once and leave the pool behind the stall.
+        let Some(task) = core.queue.pop() else {
+            return; // the engine dropped and the queue drained: shut down
         };
         // Drop tasks whose deadline expired while queued: the requester
         // is gone (or about to be), so computing would only stall the
         // pool for nobody. Trip the token too, so any racing retry of
         // the same request aborts instead of recomputing.
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            if cancel.cancel(CancelReason::Deadline) {
-                shared.metrics.record_cancelled(CancelReason::Deadline);
+        if task.ticket.deadline.is_some_and(|d| Instant::now() >= d) {
+            if task.ticket.cancel.cancel(CancelReason::Deadline) {
+                core.metrics.record_cancelled(CancelReason::Deadline);
             }
-            if !guard.complete(None, true) && shared.try_retire() {
-                return;
+            match task.ticket.claim() {
+                Some(done) => {
+                    core.metrics.record_stale_drop();
+                    core.metrics.record_rejection(Rejection::DeadlineExceeded);
+                    done(Err(Rejection::DeadlineExceeded));
+                }
+                // The expiry already answered and left a surplus credit.
+                None if core.try_retire() => return,
+                None => {}
             }
             continue;
         }
+        let cancel = task.ticket.cancel.clone();
+        let mut guard = TaskGuard {
+            core,
+            task: Some(task),
+            worker: wid,
+        };
         // Worker-seam faults fire OUTSIDE the panic boundary: they model
         // defects in the worker machinery itself, which is exactly what
         // the supervisor exists to repair. Resource faults are the
@@ -1100,7 +1180,7 @@ fn worker_loop(wid: usize, shared: &WorkerShared) {
         // rather than into worker death.
         let mut corrupt_output = false;
         let mut forced_cap: Option<usize> = None;
-        match shared.plan.as_deref().and_then(|p| p.fire(Seam::Worker)) {
+        match core.plan.as_deref().and_then(|p| p.fire(Seam::Worker)) {
             Some(FaultAction::Panic) => panic!("injected worker panic"),
             // Exiting with the task in hand: the guard's drop reports
             // the death.
@@ -1108,12 +1188,9 @@ fn worker_loop(wid: usize, shared: &WorkerShared) {
             Some(FaultAction::StallMs(ms)) => std::thread::sleep(Duration::from_millis(ms)),
             Some(FaultAction::WrongOutput) => corrupt_output = true,
             Some(FaultAction::IoError) => {
-                let name = guard.input_name();
-                let delivered = guard.complete(
-                    Some(failed_record(name, "injected worker I/O error")),
-                    false,
-                );
-                if !delivered && shared.try_retire() {
+                let name = guard.input().name().to_string();
+                let answered = guard.complete(failed_record(name, "injected worker I/O error"));
+                if !answered && core.try_retire() {
                     return;
                 }
                 continue;
@@ -1122,7 +1199,7 @@ fn worker_loop(wid: usize, shared: &WorkerShared) {
             Some(FaultAction::CancelRun) => {
                 let won = cancel.cancel(CancelReason::Supervisor);
                 if won {
-                    shared.metrics.record_cancelled(CancelReason::Supervisor);
+                    core.metrics.record_cancelled(CancelReason::Supervisor);
                 }
             }
             // State-corruption faults belong to the Store and Decode
@@ -1135,12 +1212,11 @@ fn worker_loop(wid: usize, shared: &WorkerShared) {
             | None => {}
         }
         let mut outcome = {
-            let (_, _, job, _) = guard.payload.as_ref().expect("task in hand");
-            let input = &job.input;
+            let input = guard.input();
             // Optimize-seam faults fire INSIDE the panic boundary: they
             // model defects in per-net computation, which must stay
             // contained to one record.
-            let mut fault = shared.plan.as_deref().and_then(|p| p.fire(Seam::Optimize));
+            let mut fault = core.plan.as_deref().and_then(|p| p.fire(Seam::Optimize));
             // Resolve resource faults at this seam the same way: into
             // the run's budget/token, then optimize normally under them.
             match fault {
@@ -1150,7 +1226,7 @@ fn worker_loop(wid: usize, shared: &WorkerShared) {
                 }
                 Some(FaultAction::CancelRun) => {
                     if cancel.cancel(CancelReason::Supervisor) {
-                        shared.metrics.record_cancelled(CancelReason::Supervisor);
+                        core.metrics.record_cancelled(CancelReason::Supervisor);
                     }
                     fault = None;
                 }
@@ -1160,14 +1236,14 @@ fn worker_loop(wid: usize, shared: &WorkerShared) {
             // a tiny arena cap (degrade-in-place turns on with it); the
             // shared config is untouched.
             let cfg_override = forced_cap.map(|cap| {
-                let mut c = (*shared.cfg).clone();
+                let mut c = core.cfg.clone();
                 c.max_arena_bytes = Some(cap);
                 c
             });
-            let run_cfg: &PipelineConfig = cfg_override.as_ref().unwrap_or(&shared.cfg);
+            let run_cfg: &PipelineConfig = cfg_override.as_ref().unwrap_or(&core.cfg);
             // `optimize_input` contains per-rung panic boundaries
             // already; this outer guard turns even a bookkeeping panic
-            // into a record, so the collector never waits on a dead slot.
+            // into a record, so no request waits on a dead slot.
             panic::catch_unwind(AssertUnwindSafe(|| match fault {
                 Some(FaultAction::Panic) | Some(FaultAction::KillWorker) => {
                     panic!("injected optimizer panic")
@@ -1206,10 +1282,9 @@ fn worker_loop(wid: usize, shared: &WorkerShared) {
         if corrupt_output {
             outcome.name = format!("__fault__{}", outcome.name);
         }
-        let delivered = guard.complete(Some(outcome), false);
-        if !delivered && shared.try_retire() {
-            // The requester abandoned this reply (a deadline expiry
-            // spawned a replacement); shrink the pool back to target.
+        if !guard.complete(outcome) && core.try_retire() {
+            // The request was answered by a deadline expiry, which spawned
+            // a replacement; shrink the pool back to target.
             return;
         }
     }

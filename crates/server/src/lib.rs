@@ -4,17 +4,18 @@
 //! of a PowerPC design; buffer insertion is embarrassingly parallel
 //! across nets (each `(tree, scenario, library)` triple is independent).
 //! This crate multiplies throughput on the hardware at hand without any
-//! external runtime — `std::thread` and bounded `std::sync::mpsc`
-//! channels only:
+//! external runtime — `std::thread` and `std::sync` primitives only:
 //!
-//! * [`Engine`] — a supervised fixed-size worker pool that fans batches
-//!   of [`NetInput`]s out to workers and reassembles the per-net records
-//!   in **deterministic input order**, so `--jobs N` output is
-//!   indistinguishable from serial output (modulo wall-clock timings).
-//!   The pool detects workers that die outside their panic boundary,
-//!   respawns them, retries the orphaned request a bounded number of
-//!   times, and sheds load ([`Rejection`]) when the bounded queue hits
-//!   its high-watermark or a per-request deadline expires;
+//! * [`Engine`] — a supervised fixed-size worker pool behind one
+//!   non-blocking request path ([`Engine::submit`]): workers finish each
+//!   request themselves and call its completion. Batches fan out and
+//!   reassemble the per-net records in **deterministic input order**, so
+//!   `--jobs N` output is indistinguishable from serial output (modulo
+//!   wall-clock timings). The pool detects workers that die outside their
+//!   panic boundary, respawns them, retries the orphaned request a
+//!   bounded number of times, and sheds load ([`Rejection`]) when the
+//!   bounded queue hits its high-watermark or a per-request deadline
+//!   expires;
 //! * [`SolutionCache`] — a sharded LRU keyed by a content digest of
 //!   `(net, scenario, library, budget)`, serving repeated nets (ECO-style
 //!   re-runs) without re-optimizing, with hit/miss/eviction counters;
@@ -24,13 +25,9 @@
 //! * [`service`] — a long-running newline-delimited-JSON TCP front end:
 //!   one request line per net, one response line per record (the
 //!   pipeline's JSONL schema plus `cache` and `worker` fields), plus
-//!   `stats` and `shutdown` commands. Two interchangeable transports
-//!   speak that protocol: the sharded epoll reactor
-//!   ([`serve_sharded`], the default) and the legacy
-//!   thread-per-connection loop ([`serve_threaded`], kept as the
-//!   baseline for differential tests and benchmarks).
+//!   `stats` and `shutdown` commands, served by the sharded epoll
+//!   reactor ([`serve_sharded`]).
 //!
-//! [`NetInput`]: buffopt_pipeline::NetInput
 //! [`SolutionCache`]: cache::SolutionCache
 //! [`Metrics`]: metrics::Metrics
 
@@ -42,11 +39,11 @@ pub mod engine;
 pub mod metrics;
 mod reactor;
 pub mod service;
-mod threaded;
 
 pub use cache::{digest, SolutionCache};
-pub use engine::{default_jobs, CacheStatus, Engine, EngineOptions, Job, Rejection, Served};
+pub use engine::{
+    default_jobs, Answer, CacheStatus, Engine, EngineOptions, Job, Rejection, Served, Ticket,
+};
 pub use metrics::{Metrics, MetricsSnapshot, ShardStat};
 pub use reactor::serve_sharded;
 pub use service::{serve, serve_with, NetDecoder, ServeOptions};
-pub use threaded::serve_threaded;

@@ -1,6 +1,7 @@
-//! The sharded readiness-driven front end: an epoll reactor per shard,
-//! one engine per shard, and a bounded responder pool bridging the
-//! nonblocking event loops to the blocking engine calls.
+//! The sharded readiness-driven front end: an epoll reactor per shard
+//! and one engine per shard. Shard threads handle requests themselves
+//! and submit optimize work to the engines without blocking; workers
+//! post the answers back.
 //!
 //! # Architecture
 //!
@@ -10,11 +11,11 @@
 //!             └──────┬──────────────┬──────────────┬────────────┘
 //!                 shard 0        shard 1   ...  shard N-1   (epoll loops)
 //!                    │              │              │
-//!                    └──────── work channel ───────┘
-//!                               │
-//!                     responder pool (blocking Engine calls)
-//!                               │
-//!                    replies → shard inboxes (eventfd wakeups)
+//!                    └── Engine::submit (rendezvous-routed) ──┘
+//!                                   │
+//!                        engine workers (per-net DP)
+//!                                   │
+//!                 completions → shard mailboxes (eventfd wakeups)
 //! ```
 //!
 //! * The **acceptor** owns the listening socket. Accepted connections
@@ -24,36 +25,40 @@
 //! * Each **shard** is one event loop owning its connections' state
 //!   machines: nonblocking buffered reads with the line cap enforced
 //!   incrementally, frame decoding, write backpressure through
-//!   [`SendBuf`], and read deadlines in a timer heap. A connection with
-//!   a request in flight stops reading (its kernel receive buffer is
-//!   the backpressure), so per-connection memory is bounded. The clock
-//!   for [`ServeOptions::read_timeout`] arms when the connection starts
+//!   [`SendBuf`], and deadlines in a timer heap. A connection with a
+//!   request in flight stops reading (its kernel receive buffer is the
+//!   backpressure), so per-connection memory is bounded. The clock for
+//!   [`ServeOptions::read_timeout`] arms when the connection starts
 //!   waiting for a request and is *not* reset by partial bytes — a
 //!   slow-loris client trickling one byte per tick is closed on
 //!   schedule.
-//! * Complete request lines are dispatched to the **responder pool**,
-//!   which runs the blocking [`Engine`] path (`try_optimize_with`) —
-//!   the exact code path the thread-per-connection baseline used, so
-//!   admission shedding, deadlines, retry, and fault semantics are
-//!   identical. The pool is sized past the engines' total admission
-//!   capacity (jobs + queue depth, plus slack), so control commands are
-//!   never starved behind saturated optimize calls and shedding still
-//!   manifests as `overloaded` responses.
+//! * A complete request line is handled **on the shard thread**: the
+//!   shard classifies it, answers protocol errors, `stats` and
+//!   `shutdown` itself, and for `optimize` decodes the net, keys it and
+//!   calls [`Engine::submit`], which never blocks. A cache hit or a shed
+//!   is answered inline; otherwise the worker that finishes the request
+//!   calls its completion, which posts the response to this shard's
+//!   mailbox and wakes the loop. The completion holds only the mailbox,
+//!   so queued work never keeps the server state (or an engine) alive.
+//! * **Request deadlines** live in the same timer heap: the engine arms
+//!   the deadline at admission, the shard pushes it next to the read
+//!   deadlines and expires the request's [`Ticket`] when it fires; the
+//!   expiry's `deadline_exceeded` answer arrives through the mailbox
+//!   like any other.
 //! * **Cancellation by readiness**: every registration asks for
 //!   `EPOLLRDHUP`. When a client hangs up while its request is in
 //!   flight and no pipelined bytes remain buffered, the request's
-//!   [`CancelToken`] trips with the `disconnect` reason — replacing the
-//!   baseline's 25 ms polling monitor thread with a kernel
-//!   notification. Pipelined requests a client sent before hanging up
-//!   are still served (their responses go to the peer's half-open read
-//!   side, exactly like the baseline).
+//!   [`CancelToken`] trips with the `disconnect` reason — a kernel
+//!   notification, not a polling thread. Pipelined requests a client
+//!   sent before hanging up are still served (their responses go to the
+//!   peer's half-open read side).
 //! * **Routing**: optimize requests route to an engine by a rendezvous
 //!   (highest-random-weight) hash of the net digest, so repeated nets
 //!   land on the same engine and its solution cache / memo table shard
 //!   cleanly without cross-engine chatter. `stats` aggregates every
 //!   engine's snapshot ([`MetricsSnapshot::absorb`]) and appends a
-//!   per-shard breakdown; `shutdown` closes admission on every engine
-//!   before acknowledging.
+//!   per-shard breakdown built from the same snapshots; `shutdown`
+//!   closes admission on every engine before acknowledging.
 //!
 //! # Drain contract
 //!
@@ -61,12 +66,12 @@
 //! a drain to every shard: idle connections close, buffered complete
 //! lines are served (the engines reject them with `shutting_down`),
 //! in-flight requests finish and their responses are flushed before the
-//! shard exits. Shards join first, then the work channel closes and the
-//! responders join — a connection is never dropped with a response in
-//! flight, and no reply can arrive at a dead shard (a connection stays
-//! in its slab until its in-flight reply returns).
+//! shard exits. A connection stays in its slab until its in-flight reply
+//! returns, so a connection is never dropped with a response in flight
+//! and no reply can arrive at a dead shard.
 //!
 //! [`MetricsSnapshot::absorb`]: crate::metrics::MetricsSnapshot::absorb
+//! [`Ticket`]: crate::engine::Ticket
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -75,7 +80,7 @@ use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use buffopt::{CancelReason, CancelToken};
@@ -86,10 +91,11 @@ use buffopt_netpoll::{
 use buffopt_pipeline::fault::{FaultAction, Seam};
 
 use crate::cache::digest;
-use crate::engine::Engine;
+use crate::engine::{Engine, Ticket};
 use crate::metrics::ShardStat;
 use crate::service::{
-    bad_frame_json, classify_request, error_json, serve_optimize, Command, NetDecoder, ServeOptions,
+    answer_json, bad_frame_json, classify_request, decode_job, error_json, Command, NetDecoder,
+    ServeOptions,
 };
 
 /// Token of each shard's inbox waker (never collides with connection
@@ -113,32 +119,22 @@ const RECV_SLACK: usize = 64 * 1024;
 /// [`ServeOptions::max_conns`] ceiling.
 const MAX_CONNS_REFUSAL: &[u8] = b"{\"error\":\"overloaded\",\"detail\":\"max_conns\"}\n";
 
-/// One unit of blocking work dispatched from a shard to the responder
-/// pool: a complete request line plus the routing info for its reply.
-struct Work {
-    shard: usize,
-    token: u64,
-    line: String,
-    framed: bool,
-    cancel: CancelToken,
-}
-
 /// Messages into a shard's event loop (paired with an eventfd wakeup).
 enum Inbox {
     /// A freshly accepted connection to adopt.
     Conn(TcpStream),
-    /// A responder finished a request; write the response.
+    /// An in-flight request was answered; write the response.
     Reply {
         token: u64,
         response: String,
         framed: bool,
-        shutdown: bool,
     },
     /// Stop reading, serve what is buffered, flush, close, exit.
     Drain,
 }
 
-/// A shard's mailbox as seen by the acceptor and the responders.
+/// A shard's mailbox as seen by the acceptor and the request
+/// completions.
 struct ShardPost {
     inbox: Mutex<VecDeque<Inbox>>,
     waker: Arc<Waker>,
@@ -154,7 +150,7 @@ impl ShardPost {
     }
 }
 
-/// State shared by the acceptor, every shard, and every responder.
+/// State shared by the acceptor and every shard.
 struct Shared {
     engines: Vec<Arc<Engine>>,
     decode: NetDecoder,
@@ -163,11 +159,11 @@ struct Shared {
     conn_count: AtomicUsize,
     /// Live connections per shard (the `stats` breakdown).
     shard_conns: Vec<AtomicUsize>,
-    /// Set by a responder that served a `shutdown` command.
+    /// Set by the shard that served a `shutdown` command.
     shutdown_requested: AtomicBool,
     /// Wakes the acceptor loop when `shutdown_requested` flips.
     accept_waker: Arc<Waker>,
-    shard_posts: Vec<ShardPost>,
+    shard_posts: Vec<Arc<ShardPost>>,
 }
 
 /// One connection's state machine, owned by exactly one shard.
@@ -176,7 +172,7 @@ struct Conn {
     token: u64,
     recv: RecvBuf,
     send: SendBuf,
-    /// A request from this connection is at the responders.
+    /// A request from this connection is at an engine.
     busy: bool,
     /// No more request bytes will ever arrive (peer write-half closed,
     /// EOF read, or socket error).
@@ -194,9 +190,11 @@ struct Conn {
     /// disconnect-by-readiness. Taken when tripped so each request is
     /// cancelled at most once.
     cancel: Option<CancelToken>,
-    /// The read deadline while idle-awaiting a request; `None` while a
-    /// request is in flight. Deliberately NOT refreshed by partial
-    /// bytes.
+    /// The in-flight request's ticket, expired when its deadline fires.
+    ticket: Option<Ticket>,
+    /// The read deadline while idle-awaiting a request (deliberately
+    /// NOT refreshed by partial bytes), or the request deadline while a
+    /// request is in flight.
     deadline: Option<Instant>,
 }
 
@@ -204,8 +202,8 @@ struct Conn {
 struct Shard {
     id: usize,
     poller: Poller,
-    /// Kept alive by `Shared::shard_posts` past this shard's exit, so a
-    /// racing responder `wake()` can never hit a recycled fd.
+    /// Kept alive by this shard's [`ShardPost`] past the shard's exit, so
+    /// a late `wake()` can never hit a recycled fd.
     waker: Arc<Waker>,
     shared: Arc<Shared>,
     /// Slot-indexed connections; `gens` gives each slot reuse a fresh
@@ -214,15 +212,15 @@ struct Shard {
     gens: Vec<u32>,
     free: Vec<usize>,
     live: usize,
-    /// Read deadlines, lazily deleted (entries are validated against the
-    /// connection's current deadline when they fire).
+    /// Read and request deadlines, lazily deleted (entries are validated
+    /// against the connection's current deadline when they fire).
     timeouts: BinaryHeap<Reverse<(Instant, u64)>>,
     draining: bool,
 }
 
 /// Serves the protocol across `engines.len()` reactor shards until a
-/// `shutdown` command arrives, then drains every shard and responder
-/// (each in-flight response is written before this returns). The
+/// `shutdown` command arrives, then drains every shard (each in-flight
+/// response is written before this returns). The
 /// calling thread runs the acceptor. See the module docs for the
 /// architecture; [`serve_with`](crate::serve_with) is the single-engine
 /// wrapper.
@@ -250,10 +248,10 @@ pub fn serve_sharded(
     for _ in 0..nshards {
         let poller = Poller::new()?;
         let waker = Arc::new(Waker::new(&poller, WAKER_TOKEN)?);
-        shard_posts.push(ShardPost {
+        shard_posts.push(Arc::new(ShardPost {
             inbox: Mutex::new(VecDeque::new()),
             waker: Arc::clone(&waker),
-        });
+        }));
         shard_setup.push((poller, waker));
     }
     let shared = Arc::new(Shared {
@@ -266,32 +264,6 @@ pub fn serve_sharded(
         accept_waker: Arc::clone(&accept_waker),
         shard_posts,
     });
-
-    // Responder pool: sized past the engines' total admission capacity
-    // (jobs in flight + queued) plus slack, so (a) enough callers block
-    // inside the engines to keep them saturated and shedding behaves
-    // exactly as under the threaded front end, and (b) control commands
-    // (stats/shutdown) always find a free responder.
-    let responder_count: usize = shared
-        .engines
-        .iter()
-        .map(|e| e.jobs() + e.queue_depth())
-        .sum::<usize>()
-        + 2 * nshards
-        + 2;
-    let (work_tx, work_rx) = mpsc::channel::<Work>();
-    let work_rx = Arc::new(Mutex::new(work_rx));
-    let mut responder_handles = Vec::with_capacity(responder_count);
-    for i in 0..responder_count {
-        let rx = Arc::clone(&work_rx);
-        let shared = Arc::clone(&shared);
-        responder_handles.push(
-            std::thread::Builder::new()
-                .name(format!("buffopt-respond-{i}"))
-                .spawn(move || responder_loop(&rx, &shared))
-                .expect("spawn responder thread"),
-        );
-    }
 
     let mut shard_handles = Vec::with_capacity(nshards);
     for (id, (poller, waker)) in shard_setup.into_iter().enumerate() {
@@ -307,11 +279,10 @@ pub fn serve_sharded(
             timeouts: BinaryHeap::new(),
             draining: false,
         };
-        let tx = work_tx.clone();
         shard_handles.push(
             std::thread::Builder::new()
                 .name(format!("buffopt-shard-{id}"))
-                .spawn(move || shard_loop(shard, tx))
+                .spawn(move || shard_loop(shard))
                 .expect("spawn shard thread"),
         );
     }
@@ -369,7 +340,7 @@ pub fn serve_sharded(
     }
 
     // Drain (see the module docs for the contract). `begin_shutdown` is
-    // idempotent; the responder that served the shutdown command already
+    // idempotent; the shard that served the shutdown command already
     // called it before acknowledging.
     for engine in &shared.engines {
         engine.begin_shutdown();
@@ -378,12 +349,6 @@ pub fn serve_sharded(
         post.post(Inbox::Drain);
     }
     for handle in shard_handles {
-        let _ = handle.join();
-    }
-    // All shard-held work senders are gone once the shards joined; drop
-    // ours and the responders see the channel close.
-    drop(work_tx);
-    for handle in responder_handles {
         let _ = handle.join();
     }
     match fatal {
@@ -416,77 +381,78 @@ fn route<'a>(engines: &'a [Arc<Engine>], id: &str, net: &str) -> &'a Arc<Engine>
 }
 
 /// The aggregated `stats` response: every engine's snapshot folded into
-/// one fleet view, plus the per-shard breakdown.
+/// one fleet view, plus the per-shard breakdown. Both come from the same
+/// one snapshot per engine, so the shard rows always sum to the totals.
 fn aggregate_stats(shared: &Shared) -> String {
-    let mut snap = shared.engines[0].metrics_snapshot();
-    for engine in &shared.engines[1..] {
-        snap.absorb(&engine.metrics_snapshot());
-    }
-    snap.shards = shared
+    let snaps: Vec<_> = shared
         .engines
         .iter()
+        .map(|e| e.metrics_snapshot())
+        .collect();
+    let shards = snaps
+        .iter()
+        .zip(&shared.engines)
         .enumerate()
-        .map(|(i, engine)| {
-            let es = engine.metrics_snapshot();
-            ShardStat {
-                shard: i,
-                conns: shared.shard_conns[i].load(Ordering::SeqCst) as u64,
-                queue: engine.queue_len() as u64,
-                requests: es.requests,
-                cache_hits: es.cache.hits,
-                cache_misses: es.cache.misses,
-                memo_hits: es.memo.hits,
-            }
+        .map(|(i, (es, engine))| ShardStat {
+            shard: i,
+            conns: shared.shard_conns[i].load(Ordering::SeqCst) as u64,
+            queue: engine.queue_len() as u64,
+            requests: es.requests,
+            cache_hits: es.cache.hits,
+            cache_misses: es.cache.misses,
+            memo_hits: es.memo.hits,
         })
         .collect();
-    snap.to_json()
-}
-
-/// One responder: blocks on the shared work channel, runs the request
-/// against the engines, posts the reply back to the owning shard. A
-/// panic while serving — injected at the decode seam or real — costs
-/// one error response, not the connection or the server.
-fn responder_loop(rx: &Mutex<mpsc::Receiver<Work>>, shared: &Shared) {
-    loop {
-        let work = match rx.lock().unwrap_or_else(|e| e.into_inner()).recv() {
-            Ok(w) => w,
-            Err(_) => return, // every shard exited: shut down
-        };
-        let served = panic::catch_unwind(AssertUnwindSafe(|| {
-            handle_request(&work.line, &work.cancel, shared)
-        }));
-        let (response, shutdown) = served.unwrap_or_else(|_| {
-            shared.engines[0].metrics().record_conn_error();
-            (
-                error_json("internal error while serving the request"),
-                false,
-            )
-        });
-        if shutdown {
-            shared.shutdown_requested.store(true, Ordering::SeqCst);
-            shared.accept_waker.wake();
-        }
-        shared.shard_posts[work.shard].post(Inbox::Reply {
-            token: work.token,
-            response,
-            framed: work.framed,
-            shutdown,
-        });
+    let mut snaps = snaps.into_iter();
+    let mut fleet = snaps
+        .next()
+        .expect("serve_sharded requires at least one engine");
+    for es in snaps {
+        fleet.absorb(&es);
     }
+    fleet.shards = shards;
+    fleet.to_json()
 }
 
-/// Executes one request line; returns `(response, shutdown_requested)`.
-fn handle_request(line: &str, cancel: &CancelToken, shared: &Shared) -> (String, bool) {
+/// How the shard disposed of one request line.
+enum Handled {
+    /// Answered on the spot (protocol error, stats, rejection, hit).
+    Answered(String),
+    /// `shutdown`: acknowledge, then close the connection.
+    Shutdown,
+    /// Submitted to an engine; the answer arrives through the mailbox.
+    Submitted(Ticket),
+}
+
+/// Executes one request line on the shard thread. An optimize request
+/// is submitted with a completion that posts its response to `post`, the
+/// owning shard's mailbox, tagged with the connection's `token`.
+fn handle_request(
+    line: &str,
+    framed: bool,
+    token: u64,
+    cancel: &CancelToken,
+    post: &Arc<ShardPost>,
+    shared: &Shared,
+) -> Handled {
     match classify_request(line) {
-        Err(response) => (response, false),
+        Err(response) => Handled::Answered(response),
         Ok(Command::Optimize { id, net }) => {
             let engine = route(&shared.engines, &id, &net);
-            let response = serve_optimize(engine, &shared.decode, &id, &net, cancel, |job| {
-                engine.try_optimize_with(job, cancel.clone())
-            });
-            (response, false)
+            let job = match decode_job(engine, &shared.decode, &id, &net, cancel) {
+                Ok(job) => job,
+                Err(response) => return Handled::Answered(response),
+            };
+            let post = Arc::clone(post);
+            Handled::Submitted(engine.submit(job, cancel.clone(), move |answer| {
+                post.post(Inbox::Reply {
+                    token,
+                    response: answer_json(answer),
+                    framed,
+                })
+            }))
         }
-        Ok(Command::Stats) => (aggregate_stats(shared), false),
+        Ok(Command::Stats) => Handled::Answered(aggregate_stats(shared)),
         Ok(Command::Shutdown) => {
             // Close admission on every engine before acknowledging, so
             // requests racing the shutdown are refused explicitly from
@@ -494,15 +460,16 @@ fn handle_request(line: &str, cancel: &CancelToken, shared: &Shared) -> (String,
             for engine in &shared.engines {
                 engine.begin_shutdown();
             }
-            ("{\"ok\":\"shutdown\"}".to_string(), true)
+            shared.shutdown_requested.store(true, Ordering::SeqCst);
+            shared.accept_waker.wake();
+            Handled::Shutdown
         }
     }
 }
 
 /// Trips the in-flight request's disconnect cancellation, at most once
 /// per request. EOF during the shutdown drain never cancels: the drain
-/// contract is that admitted work completes and its response is written
-/// (the threaded baseline gates identically).
+/// contract is that admitted work completes and its response is written.
 fn maybe_cancel_disconnect(conn: &mut Conn, shared: &Shared) {
     let Some(cancel) = conn.cancel.take() else {
         return;
@@ -536,7 +503,7 @@ fn fill(conn: &mut Conn, opts: &ServeOptions) -> std::io::Result<FillOutcome> {
 /// The shard's event loop: wait for readiness, handle inbox and
 /// connection events, expire read deadlines, exit once draining with no
 /// connections left.
-fn shard_loop(mut shard: Shard, work_tx: mpsc::Sender<Work>) {
+fn shard_loop(mut shard: Shard) {
     let mut events: Vec<Event> = Vec::new();
     loop {
         let timeout = shard
@@ -555,12 +522,12 @@ fn shard_loop(mut shard: Shard, work_tx: mpsc::Sender<Work>) {
         for &ev in &events {
             if ev.token == WAKER_TOKEN {
                 shard.waker.drain();
-                shard.drain_inbox(&work_tx);
+                shard.drain_inbox();
             } else {
-                shard.on_conn_event(ev, &work_tx);
+                shard.on_conn_event(ev);
             }
         }
-        shard.expire_deadlines(&work_tx);
+        shard.expire_deadlines();
         if shard.draining && shard.live == 0 {
             return;
         }
@@ -580,7 +547,7 @@ impl Shard {
     }
 
     /// Processes every queued inbox message.
-    fn drain_inbox(&mut self, work_tx: &mpsc::Sender<Work>) {
+    fn drain_inbox(&mut self) {
         loop {
             let msg = self.shared.shard_posts[self.id]
                 .inbox
@@ -589,18 +556,17 @@ impl Shard {
                 .pop_front();
             match msg {
                 None => return,
-                Some(Inbox::Conn(stream)) => self.adopt(stream, work_tx),
+                Some(Inbox::Conn(stream)) => self.adopt(stream),
                 Some(Inbox::Reply {
                     token,
                     response,
                     framed,
-                    shutdown,
-                }) => self.on_reply(token, &response, framed, shutdown, work_tx),
+                }) => self.on_reply(token, &response, framed),
                 Some(Inbox::Drain) => {
                     self.draining = true;
                     for idx in 0..self.conns.len() {
                         if self.conns[idx].is_some() {
-                            self.progress(idx, work_tx);
+                            self.progress(idx);
                         }
                     }
                 }
@@ -610,7 +576,7 @@ impl Shard {
 
     /// Takes ownership of a freshly accepted connection: slab slot,
     /// poller registration, read-deadline arming (via `progress`).
-    fn adopt(&mut self, stream: TcpStream, work_tx: &mpsc::Sender<Work>) {
+    fn adopt(&mut self, stream: TcpStream) {
         let idx = self.free.pop().unwrap_or_else(|| {
             self.conns.push(None);
             self.gens.push(1);
@@ -630,6 +596,7 @@ impl Shard {
             registered: false,
             interest: None,
             cancel: None,
+            ticket: None,
             deadline: None,
         };
         if self.poller.register(fd, token, Interest::READ).is_ok() {
@@ -642,12 +609,12 @@ impl Shard {
         self.conns[idx] = Some(conn);
         self.live += 1;
         self.shared.shard_conns[self.id].fetch_add(1, Ordering::SeqCst);
-        self.progress(idx, work_tx);
+        self.progress(idx);
     }
 
     /// Closes a connection and retires its slot. Never called with a
-    /// request in flight — a busy connection waits for its reply so the
-    /// shard (and its waker) outlive every dispatched `Work`.
+    /// request in flight — a busy connection waits for its reply, so the
+    /// shard outlives every request it submitted.
     fn close(&mut self, idx: usize) {
         let conn = self.conns[idx].take().expect("closing a live connection");
         debug_assert!(!conn.busy, "close() with a request in flight");
@@ -662,34 +629,26 @@ impl Shard {
         self.shared.shard_conns[self.id].fetch_sub(1, Ordering::SeqCst);
     }
 
-    /// A responder finished this connection's in-flight request.
-    fn on_reply(
-        &mut self,
-        token: u64,
-        response: &str,
-        framed: bool,
-        shutdown: bool,
-        work_tx: &mpsc::Sender<Work>,
-    ) {
+    /// This connection's in-flight request was answered.
+    fn on_reply(&mut self, token: u64, response: &str, framed: bool) {
         let Some(idx) = self.lookup(token) else {
             return;
         };
         let conn = self.conns[idx].as_mut().expect("lookup returned live slot");
         conn.busy = false;
         conn.cancel = None;
+        conn.ticket = None;
+        conn.deadline = None;
         if conn.doomed {
             self.close(idx);
             return;
         }
         queue_response(conn, response, framed);
-        if shutdown {
-            conn.closing = true;
-        }
-        self.progress(idx, work_tx);
+        self.progress(idx);
     }
 
     /// Readiness arrived for a connection's socket.
-    fn on_conn_event(&mut self, ev: Event, work_tx: &mpsc::Sender<Work>) {
+    fn on_conn_event(&mut self, ev: Event) {
         let Some(idx) = self.lookup(ev.token) else {
             return;
         };
@@ -720,8 +679,7 @@ impl Shard {
                         Ok(FillOutcome::Eof) => conn.eof = true,
                         Ok(_) => {}
                         Err(_) => {
-                            // Unreadable stream: the baseline closes
-                            // silently; mirror it.
+                            // Unreadable stream: close silently.
                             conn.eof = true;
                             conn.doomed = true;
                         }
@@ -731,14 +689,16 @@ impl Shard {
                 // starts by flushing.
             }
         }
-        self.progress(idx, work_tx);
+        self.progress(idx);
     }
 
-    /// Fires expired read deadlines: idle connections past their clock
-    /// get the typed timeout error and close. Heap entries are lazily
-    /// deleted — anything stale (slot reused, request dispatched,
+    /// Fires expired deadlines: an in-flight request past its deadline
+    /// has its ticket expired (the `deadline_exceeded` answer comes back
+    /// through the mailbox); an idle connection past its read clock gets
+    /// the typed timeout error and closes. Heap entries are lazily
+    /// deleted — anything stale (slot reused, request answered,
     /// deadline re-armed later) is skipped.
-    fn expire_deadlines(&mut self, work_tx: &mpsc::Sender<Work>) {
+    fn expire_deadlines(&mut self) {
         loop {
             let now = Instant::now();
             let (when, token) = match self.timeouts.peek() {
@@ -751,10 +711,19 @@ impl Shard {
             };
             {
                 let conn = self.conns[idx].as_mut().expect("lookup returned live slot");
-                if conn.busy || conn.closing || conn.doomed || conn.deadline != Some(when) {
+                if conn.deadline != Some(when) {
                     continue;
                 }
                 conn.deadline = None;
+                if conn.busy {
+                    if let Some(ticket) = conn.ticket.take() {
+                        ticket.expire();
+                    }
+                    continue;
+                }
+                if conn.closing || conn.doomed {
+                    continue;
+                }
                 self.shared.engines[0].metrics().record_conn_error();
                 queue_response(
                     conn,
@@ -763,16 +732,15 @@ impl Shard {
                 );
                 conn.closing = true;
             }
-            self.progress(idx, work_tx);
+            self.progress(idx);
         }
     }
 
     /// The per-connection state machine: flush output, then (unless a
-    /// request is in flight) consume buffered lines — dispatching
-    /// requests, answering protocol errors inline, honoring
-    /// drain/EOF/doom transitions — until the connection blocks, closes,
-    /// or goes busy.
-    fn progress(&mut self, idx: usize, work_tx: &mpsc::Sender<Work>) {
+    /// request is in flight) consume buffered lines — handling requests,
+    /// answering protocol errors inline, honoring drain/EOF/doom
+    /// transitions — until the connection blocks, closes, or goes busy.
+    fn progress(&mut self, idx: usize) {
         loop {
             let shared = Arc::clone(&self.shared);
             let Some(conn) = self.conns[idx].as_mut() else {
@@ -822,8 +790,7 @@ impl Shard {
                 TakeLine::Partial => {
                     if conn.eof || self.draining {
                         // No more bytes will complete this line; a
-                        // trailing fragment is discarded exactly like
-                        // the baseline's EOF mid-line.
+                        // trailing fragment is discarded.
                         conn.closing = true;
                         continue;
                     }
@@ -883,29 +850,45 @@ impl Shard {
                     if line.is_empty() {
                         continue;
                     }
-                    let cancel = CancelToken::new();
-                    conn.busy = true;
-                    conn.cancel = Some(cancel.clone());
-                    let token = conn.token;
-                    if work_tx
-                        .send(Work {
-                            shard: self.id,
-                            token,
-                            line,
-                            framed,
-                            cancel,
-                        })
-                        .is_err()
-                    {
-                        // The responder pool is gone (only possible
-                        // after a drain); close out politely.
-                        let conn = self.conns[idx].as_mut().expect("slot still live");
-                        conn.busy = false;
-                        conn.cancel = None;
-                        conn.closing = true;
-                    }
+                    self.dispatch(idx, &line, framed);
                     continue;
                 }
+            }
+        }
+    }
+
+    /// Handles one complete request line from connection `idx`. A panic
+    /// while handling it — injected at the decode seam or real — costs
+    /// one error response, not the connection or the shard.
+    fn dispatch(&mut self, idx: usize, line: &str, framed: bool) {
+        let shared = Arc::clone(&self.shared);
+        let post = &shared.shard_posts[self.id];
+        let conn = self.conns[idx].as_mut().expect("dispatching a live slot");
+        let token = conn.token;
+        let cancel = CancelToken::new();
+        let handled = panic::catch_unwind(AssertUnwindSafe(|| {
+            handle_request(line, framed, token, &cancel, post, &shared)
+        }))
+        .unwrap_or_else(|_| {
+            shared.engines[0].metrics().record_conn_error();
+            Handled::Answered(error_json("internal error while serving the request"))
+        });
+        match handled {
+            Handled::Answered(response) => queue_response(conn, &response, framed),
+            Handled::Shutdown => {
+                queue_response(conn, "{\"ok\":\"shutdown\"}", framed);
+                conn.closing = true;
+            }
+            Handled::Submitted(ticket) => {
+                // A hit or a shed has already posted its reply; it is
+                // processed on a later loop turn, after this bookkeeping.
+                conn.busy = true;
+                conn.cancel = Some(cancel);
+                if let Some(when) = ticket.deadline() {
+                    conn.deadline = Some(when);
+                    self.timeouts.push(Reverse((when, token)));
+                }
+                conn.ticket = Some(ticket);
             }
         }
     }

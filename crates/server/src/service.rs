@@ -34,24 +34,18 @@
 //! `{"error":"overloaded"}` / `{"error":"deadline_exceeded"}` responses
 //! (see [`Rejection`]).
 //!
-//! # Front ends
+//! # Front end
 //!
-//! Two transports serve this protocol:
-//!
-//! * [`serve_sharded`](crate::serve_sharded) — the default: a
-//!   readiness-driven event loop (`epoll` via `buffopt-netpoll`). One
-//!   acceptor hands connections round-robin to N reactor shards; each
-//!   shard owns its connections' state machines and its own [`Engine`],
-//!   and optimize requests route to engines by a rendezvous hash of the
-//!   net digest so cache and memo state shard cleanly. Client
-//!   disconnects surface as readiness (`EPOLLRDHUP`) and trip the
-//!   in-flight request's [`CancelToken`] — no
-//!   polling monitor thread. [`serve`] and [`serve_with`] are the
-//!   single-engine wrappers.
-//! * [`serve_threaded`](crate::serve_threaded) — the original
-//!   thread-per-connection implementation, kept as the benchmark
-//!   baseline and for byte-identical differential tests against the
-//!   reactor.
+//! [`serve_sharded`](crate::serve_sharded) serves this protocol on a
+//! readiness-driven event loop (`epoll` via `buffopt-netpoll`). One
+//! acceptor hands connections round-robin to N reactor shards; each
+//! shard owns its connections' state machines and its own [`Engine`],
+//! and optimize requests route to engines by a rendezvous hash of the
+//! net digest so cache and memo state shard cleanly. The shard threads
+//! decode requests and submit them without blocking; workers post the
+//! answers back. Client disconnects surface as readiness (`EPOLLRDHUP`)
+//! and trip the in-flight request's [`CancelToken`]. [`serve`] and
+//! [`serve_with`] are the single-engine wrappers.
 //!
 //! # Hardening
 //!
@@ -85,7 +79,7 @@ use buffopt::{CancelReason, CancelToken};
 use buffopt_pipeline::fault::{FaultAction, Seam};
 use buffopt_pipeline::NetInput;
 
-use crate::engine::{Engine, Job, Rejection, Served};
+use crate::engine::{Answer, Engine, Job};
 
 /// Turns a request's `(id, net text)` into a [`NetInput`] — parsed, or a
 /// `Failed` record carrying the parser's message.
@@ -160,8 +154,8 @@ pub(crate) fn bad_frame_json(detail: &str) -> String {
     s
 }
 
-/// A parsed, validated request — the protocol commands both front ends
-/// execute.
+/// A parsed, validated request — the protocol commands the front end
+/// executes.
 #[derive(Debug)]
 pub(crate) enum Command {
     /// Optimize one net.
@@ -204,18 +198,16 @@ pub(crate) fn classify_request(line: &str) -> Result<Command, String> {
     }
 }
 
-/// Serves one optimize request against `engine`: decodes the net, fires
-/// the decode fault seam, and runs the engine call through `run` (the
-/// front end wraps it with its own cancellation machinery — disconnect
-/// monitor thread or readiness-driven token). Returns the response line.
-pub(crate) fn serve_optimize(
+/// Decodes one optimize request into a keyed [`Job`] for `engine`,
+/// firing the decode fault seam on the way. `Err` carries the response
+/// line for a request that never reaches the engine.
+pub(crate) fn decode_job(
     engine: &Engine,
     decode: &NetDecoder,
     id: &str,
     net_text: &str,
     cancel: &CancelToken,
-    run: impl FnOnce(Job) -> Result<Served, Rejection>,
-) -> String {
+) -> Result<Job, String> {
     let mut input = decode(id, net_text);
     // Decode-seam fault hook: models a defective decoder.
     match engine.fault_plan().and_then(|p| p.fire(Seam::Decode)) {
@@ -224,7 +216,7 @@ pub(crate) fn serve_optimize(
             panic!("injected decode panic")
         }
         Some(FaultAction::StallMs(ms)) => std::thread::sleep(Duration::from_millis(ms)),
-        Some(FaultAction::IoError) => return error_json("injected decode I/O error"),
+        Some(FaultAction::IoError) => return Err(error_json("injected decode I/O error")),
         Some(FaultAction::WrongOutput) => {
             input = NetInput::Failed {
                 name: id.to_string(),
@@ -248,14 +240,17 @@ pub(crate) fn serve_optimize(
         | Some(FaultAction::BitFlipMemoEntry)
         | Some(FaultAction::TruncateFrame) => {}
     }
-    let key = engine.key_for(id, net_text);
-    let job = Job {
+    Ok(Job {
         input,
-        cache_key: Some(key),
-    };
-    match run(job) {
+        cache_key: Some(engine.key_for(id, net_text)),
+    })
+}
+
+/// The response line for an engine's answer: the record with its serving
+/// provenance spliced in, or the typed rejection.
+pub(crate) fn answer_json(answer: Answer) -> String {
+    match answer {
         Ok(served) => {
-            // Splice the serving provenance into the record.
             let mut json = served.outcome.to_json();
             let closed = json.pop();
             debug_assert_eq!(closed, Some('}'));

@@ -1,6 +1,7 @@
 //! Reactor front-end hardening: slow-loris starvation, half-written
 //! oversized lines, the max-conns ceiling, multi-shard routing and
-//! stats aggregation, and byte-parity with the threaded baseline.
+//! stats aggregation, request deadlines fired by the shard, and every
+//! protocol path's bytes checked against an independent oracle.
 
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -10,10 +11,9 @@ use std::time::{Duration, Instant};
 use buffopt_buffers::catalog;
 use buffopt_integrity::{decode_frame, encode_frame};
 use buffopt_netlist::{parse, write as write_net, ParsedNet};
-use buffopt_pipeline::{NetInput, PipelineConfig};
-use buffopt_server::{
-    serve_sharded, serve_threaded, serve_with, Engine, EngineOptions, NetDecoder, ServeOptions,
-};
+use buffopt_pipeline::fault::{FaultAction, FaultPlan, Seam};
+use buffopt_pipeline::{optimize_input, NetInput, PipelineConfig};
+use buffopt_server::{serve_sharded, serve_with, Engine, EngineOptions, NetDecoder, ServeOptions};
 use buffopt_workload::{adversarial, WorkloadConfig};
 
 fn pipeline_config() -> PipelineConfig {
@@ -38,23 +38,37 @@ fn decoder() -> NetDecoder {
     })
 }
 
-fn healthy_net_request(id: &str) -> String {
+fn healthy_net_text() -> String {
     let (tree, scenario) = adversarial::valid_net(&WorkloadConfig::default());
     let node_names = (0..tree.len()).map(|_| None).collect();
-    let text = write_net(&ParsedNet {
+    write_net(&ParsedNet {
         name: None,
         tree,
         scenario,
         node_names,
-    });
-    let escaped = text
+    })
+}
+
+fn optimize_request(id: &str, net_text: &str) -> String {
+    let escaped = net_text
         .replace('\\', "\\\\")
         .replace('"', "\\\"")
         .replace('\n', "\\n");
     format!("{{\"id\":\"{id}\",\"net\":\"{escaped}\"}}")
 }
 
+fn healthy_net_request(id: &str) -> String {
+    optimize_request(id, &healthy_net_text())
+}
+
 fn new_engine(jobs: usize) -> Arc<Engine> {
+    engine_with(EngineOptions {
+        jobs,
+        ..EngineOptions::default()
+    })
+}
+
+fn engine_with(opts: EngineOptions) -> Arc<Engine> {
     // A live Engine hushes the process-wide panic hook (so a panicking
     // net in a parallel batch doesn't spray backtraces); reinstall a
     // printing hook afterwards or assertion failures in these tests
@@ -62,12 +76,11 @@ fn new_engine(jobs: usize) -> Arc<Engine> {
     let engine = Arc::new(Engine::new(
         pipeline_config(),
         EngineOptions {
-            jobs,
             // Deep enough that the burst tests here exercise the
             // reactor, not the engine's admission shedding (which has
             // its own chaos coverage).
             queue_depth: 32,
-            ..EngineOptions::default()
+            ..opts
         },
     ));
     std::panic::set_hook(Box::new(|info| eprintln!("test panic: {info}")));
@@ -265,10 +278,67 @@ fn max_conns_ceiling_refuses_with_a_typed_line_and_recovers() {
     server.join().expect("serve exits");
 }
 
+/// The first number after `key` in `json`.
+fn number_after(json: &str, key: &str) -> u64 {
+    let at = json
+        .find(key)
+        .unwrap_or_else(|| panic!("{key} missing: {json}"))
+        + key.len();
+    let digits: String = json[at..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    digits.parse().expect("a number")
+}
+
+/// Checks that a `stats` response's per-shard rows sum to its fleet
+/// totals (requests, cache hits, cache misses).
+fn assert_shard_rows_sum_to_totals(stats: &str) {
+    let (fleet, rows) = stats
+        .split_once("\"shards\":[")
+        .expect("per-shard breakdown");
+    let fleet_cache = &fleet[fleet.find("\"cache\":{").expect("cache section")..];
+    for (total, row_key) in [
+        (number_after(fleet, "\"requests\":"), "\"requests\":"),
+        (number_after(fleet_cache, "\"hits\":"), "\"cache_hits\":"),
+        (
+            number_after(fleet_cache, "\"misses\":"),
+            "\"cache_misses\":",
+        ),
+    ] {
+        let summed: u64 = rows
+            .split("{\"shard\":")
+            .skip(1)
+            .map(|row| number_after(row, row_key))
+            .sum();
+        assert_eq!(
+            summed, total,
+            "shard {row_key} rows do not sum to the total: {stats}"
+        );
+    }
+}
+
 #[test]
 fn sharded_serving_routes_consistently_and_aggregates_stats() {
     let engines: Vec<_> = (0..3).map(|_| new_engine(1)).collect();
     let (addr, server) = start_reactor(engines.clone(), ServeOptions::default());
+
+    // A stats poller runs beside the clients: every snapshot taken while
+    // requests are in flight must still have shard rows that sum to the
+    // fleet totals.
+    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let poller = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let mut conn = connect(addr);
+            let mut polls = 0;
+            while !stop.load(std::sync::atomic::Ordering::SeqCst) || polls == 0 {
+                assert_shard_rows_sum_to_totals(&roundtrip(&mut conn, "{\"cmd\":\"stats\"}"));
+                polls += 1;
+            }
+            polls
+        })
+    };
 
     // Distinct nets from parallel clients: every response must carry its
     // own id, wherever it was routed.
@@ -299,6 +369,8 @@ fn sharded_serving_routes_consistently_and_aggregates_stats() {
         );
         total_hits += 1;
     }
+    stop.store(true, std::sync::atomic::Ordering::SeqCst);
+    assert!(poller.join().expect("stats poller") > 0);
 
     // The aggregated snapshot sums the engines and carries a per-shard
     // breakdown with one entry per shard.
@@ -319,6 +391,7 @@ fn sharded_serving_routes_consistently_and_aggregates_stats() {
             "missing shard {shard} breakdown: {stats}"
         );
     }
+    assert_shard_rows_sum_to_totals(&stats);
 
     let ack = roundtrip(&mut conn, "{\"cmd\":\"shutdown\"}");
     assert_eq!(ack, "{\"ok\":\"shutdown\"}");
@@ -329,93 +402,168 @@ fn sharded_serving_routes_consistently_and_aggregates_stats() {
     }
 }
 
-/// Blanks the volatile fields (`wall_ms` always; `worker` is stable at
-/// jobs=1 but normalized anyway) so front ends can be compared bytewise.
+/// Blanks the measured `wall_ms`, the one field that varies between two
+/// computations of the same record.
 fn normalize(line: &str) -> String {
+    let key = "\"wall_ms\":";
     let mut out = line.to_string();
-    for key in ["\"wall_ms\":", "\"worker\":"] {
-        if let Some(start) = out.find(key) {
-            let vstart = start + key.len();
-            let vend = out[vstart..]
-                .find([',', '}'])
-                .map(|i| vstart + i)
-                .unwrap_or(out.len());
-            out.replace_range(vstart..vend, "_");
-        }
+    if let Some(start) = out.find(key) {
+        let vstart = start + key.len();
+        let vend = out[vstart..]
+            .find([',', '}'])
+            .map(|i| vstart + i)
+            .unwrap_or(out.len());
+        out.replace_range(vstart..vend, "_");
     }
     out
 }
 
+/// The independent expectation for an optimize response: the pipeline's
+/// own record for the decoded net, computed in this process, with the
+/// serving provenance spliced in.
+fn oracle(id: &str, net_text: &str, cache: &str, worker: usize) -> String {
+    let mut json = optimize_input(&decoder()(id, net_text), &pipeline_config()).to_json();
+    json.pop();
+    normalize(&format!(
+        "{json},\"cache\":\"{cache}\",\"worker\":{worker}}}"
+    ))
+}
+
 #[test]
-fn reactor_and_threaded_front_ends_serve_identical_bytes() {
-    let run = |threaded: bool| -> Vec<String> {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let engine = new_engine(1);
-        let opts = ServeOptions {
-            frame_check: true,
-            max_line_bytes: 4096,
-            ..ServeOptions::default()
-        };
-        let server = std::thread::spawn(move || {
-            if threaded {
-                serve_threaded(listener, engine, decoder(), opts).expect("serve runs");
-            } else {
-                serve_with(listener, engine, decoder(), opts).expect("serve runs");
-            }
-        });
-
-        let mut conn = connect(addr);
-        // One request per protocol path: healthy net (then its cache
-        // hit), unparsable net, malformed JSON, missing net field,
-        // unknown cmd, framed round-trip, oversize, shutdown ack.
-        // (`stats` is deliberately absent: the reactor's snapshot adds
-        // the per-shard breakdown, a documented extension.)
-        let mut responses = vec![
-            normalize(&roundtrip(&mut conn, &healthy_net_request("same"))),
-            normalize(&roundtrip(&mut conn, &healthy_net_request("same"))),
-            normalize(&roundtrip(
-                &mut conn,
-                "{\"id\":\"broken\",\"net\":\"tree{\\n\"}",
-            )),
-            roundtrip(&mut conn, "not json at all"),
-            roundtrip(&mut conn, "{\"cmd\":\"optimize\",\"id\":\"x\"}"),
-            roundtrip(&mut conn, "{\"cmd\":\"bogus\"}"),
-        ];
-
-        // A framed healthy request must come back framed, same payload.
-        let framed = encode_frame(healthy_net_request("framed").as_bytes());
-        conn.1.write_all(&framed).expect("send frame");
-        conn.1.write_all(b"\n").expect("send newline");
-        let mut line = Vec::new();
-        conn.0
-            .read_until(b'\n', &mut line)
-            .expect("framed response");
-        let payload = decode_frame(line.strip_suffix(b"\n").unwrap_or(&line))
-            .expect("well-formed response frame");
-        responses.push(normalize(
-            std::str::from_utf8(payload).expect("utf8 payload"),
-        ));
-
-        let oversize = format!("{{\"id\":\"big\",\"net\":\"{}\"}}", "z".repeat(8192));
-        let mut over = connect(addr);
-        responses.push(roundtrip(&mut over, &oversize));
-
-        responses.push(roundtrip(&mut conn, "{\"cmd\":\"shutdown\"}"));
-        server.join().expect("serve exits");
-        responses
+fn every_protocol_path_matches_an_independent_oracle() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let engine = new_engine(1);
+    let opts = ServeOptions {
+        frame_check: true,
+        max_line_bytes: 4096,
+        ..ServeOptions::default()
     };
+    let server = std::thread::spawn(move || {
+        serve_with(listener, engine, decoder(), opts).expect("serve runs");
+    });
+    let net = healthy_net_text();
+    let broken = "tree{\n";
 
-    let threaded = run(true);
-    let reactor = run(false);
-    assert_eq!(
-        threaded.len(),
-        reactor.len(),
-        "same number of responses from both front ends"
-    );
-    for (i, (t, r)) in threaded.iter().zip(reactor.iter()).enumerate() {
-        assert_eq!(t, r, "response {i} differs between front ends");
+    let mut conn = connect(addr);
+    // One request per protocol path: healthy net (then its cache hit),
+    // unparsable net, malformed JSON, missing net field, unknown cmd,
+    // framed round-trip, oversize, shutdown ack. With one worker every
+    // record is computed by worker 0.
+    let script: Vec<(String, String)> = vec![
+        (
+            optimize_request("same", &net),
+            oracle("same", &net, "miss", 0),
+        ),
+        (
+            optimize_request("same", &net),
+            oracle("same", &net, "hit", 0),
+        ),
+        (
+            optimize_request("broken", broken),
+            oracle("broken", broken, "miss", 0),
+        ),
+        (
+            "not json at all".to_string(),
+            "{\"error\":\"bad request: expected '{', got Some('n')\"}".to_string(),
+        ),
+        (
+            "{\"cmd\":\"optimize\",\"id\":\"x\"}".to_string(),
+            "{\"error\":\"optimize request needs a \\\"net\\\" field\"}".to_string(),
+        ),
+        (
+            "{\"cmd\":\"bogus\"}".to_string(),
+            "{\"error\":\"unknown cmd \\\"bogus\\\"\"}".to_string(),
+        ),
+    ];
+    for (i, (request, want)) in script.iter().enumerate() {
+        assert_eq!(
+            &normalize(&roundtrip(&mut conn, request)),
+            want,
+            "response {i} to {request:.60}"
+        );
     }
+
+    // A framed healthy request must come back framed, same payload.
+    let framed = encode_frame(optimize_request("framed", &net).as_bytes());
+    conn.1.write_all(&framed).expect("send frame");
+    conn.1.write_all(b"\n").expect("send newline");
+    let mut line = Vec::new();
+    conn.0
+        .read_until(b'\n', &mut line)
+        .expect("framed response");
+    let payload = decode_frame(line.strip_suffix(b"\n").unwrap_or(&line))
+        .expect("well-formed response frame");
+    assert_eq!(
+        normalize(std::str::from_utf8(payload).expect("utf8 payload")),
+        oracle("framed", &net, "miss", 0)
+    );
+
+    let oversize = format!("{{\"id\":\"big\",\"net\":\"{}\"}}", "z".repeat(8192));
+    let mut over = connect(addr);
+    assert_eq!(
+        roundtrip(&mut over, &oversize),
+        "{\"error\":\"request line exceeds 4096 bytes; closing connection\"}"
+    );
+
+    assert_eq!(
+        roundtrip(&mut conn, "{\"cmd\":\"shutdown\"}"),
+        "{\"ok\":\"shutdown\"}"
+    );
+    server.join().expect("serve exits");
+}
+
+#[test]
+fn request_deadline_fires_in_the_shard_and_the_connection_keeps_serving() {
+    let engine = engine_with(EngineOptions {
+        jobs: 1,
+        request_deadline: Some(Duration::from_millis(80)),
+        // Stall inside the per-net boundary: the expiry trips the token,
+        // so the run aborts right after the sleep.
+        fault_plan: Some(Arc::new(FaultPlan::new().on_nth(
+            Seam::Optimize,
+            1,
+            FaultAction::StallMs(600),
+        ))),
+        ..EngineOptions::default()
+    });
+    let (addr, server) = start_reactor(vec![Arc::clone(&engine)], ServeOptions::default());
+
+    let mut conn = connect(addr);
+    let started = Instant::now();
+    let expired = roundtrip(&mut conn, &healthy_net_request("too-slow"));
+    assert_eq!(expired, "{\"error\":\"deadline_exceeded\"}");
+    assert!(
+        started.elapsed() < Duration::from_millis(500),
+        "answered at the deadline, not after the stall: {:?}",
+        started.elapsed()
+    );
+    let snap = engine.metrics_snapshot();
+    assert_eq!(
+        snap.cancellations,
+        [1, 0, 0, 0],
+        "cancelled.deadline counted"
+    );
+    assert_eq!(snap.rejections[1], 1, "deadline_exceeded counted");
+    assert_eq!(
+        snap.respawns, 1,
+        "a surplus worker backfilled the stalled slot"
+    );
+
+    // The stalled worker aborts after its sleep and retires against the
+    // surplus credit: back to one worker.
+    wait_for("the stalled worker to retire", || {
+        engine.live_workers() == 1
+    });
+    let next = roundtrip(&mut conn, &healthy_net_request("next"));
+    assert!(
+        next.contains("\"net\":\"next\"") && next.contains("\"outcome\":\"optimized\""),
+        "the same connection is served after the expiry: {next}"
+    );
+
+    let ack = roundtrip(&mut conn, "{\"cmd\":\"shutdown\"}");
+    assert_eq!(ack, "{\"ok\":\"shutdown\"}");
+    server.join().expect("serve exits");
 }
 
 #[test]

@@ -5,21 +5,19 @@
 #   concurrent-connection tiers (64 → 10240; --quick stops at 1024).
 #   Each tier runs a hot cache-hit wave (front-end p50/p99/p999 and
 #   throughput) and a cold distinct-net wave (admission shed-rate
-#   curve), then the legacy thread-per-connection front end serves the
-#   same hot wave at 1024 connections in the same run. The bin exits
-#   nonzero if the reactor's p99 exceeds the in-run threaded baseline
-#   by more than the --max-ratio factor (default 1.25x).
+#   curve). The `comparison` section records the hot p99 at 1024
+#   connections divided by the hot p99 at 64, both from the same run.
 #
 # usage: scripts/bench_serve.sh [--quick] [--out PATH] [--gate]
 #
 #   --quick     tiers 64/256/1024 only (CI smoke; the 10k tier needs a
 #               raised fd limit and a couple of minutes)
 #   --out PATH  where to write the JSON (default BENCH_serve.json)
-#   --gate      fail if the fresh reactor/threaded p99 ratio drifts more
+#   --gate      fail if the fresh 1024/64 hot-p99 ratio drifts more
 #               than 75% past the committed BENCH_serve.json (the
 #               committed file is copied aside first, so the fresh
 #               snapshot still lands in place). The gate compares the
-#               ratio, not raw microseconds: both front ends share the
+#               ratio, not raw microseconds: both tiers share the
 #               machine, so the quotient is portable where absolute
 #               latencies are not.
 set -euo pipefail
