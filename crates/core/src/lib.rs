@@ -75,7 +75,7 @@ mod workspace;
 pub use assignment::Assignment;
 pub use budget::RunBudget;
 pub use buffopt_analysis::{CancelReason, CancelToken};
-pub use buffopt_memo::{MemoStats, MemoTable};
+pub use buffopt_memo::{Hasher64, MemoStats, MemoTable};
 pub use delayopt::Solution;
 pub use error::{BudgetResource, CoreError};
 pub use workspace::DpWorkspace;

@@ -64,6 +64,15 @@ impl Hasher64 {
     pub fn finish(&self) -> u64 {
         self.0
     }
+
+    /// The digest of `parts`, each written in turn.
+    pub fn of(parts: &[&[u8]]) -> u64 {
+        let mut h = Hasher64::new();
+        for part in parts {
+            h.write(part);
+        }
+        h.finish()
+    }
 }
 
 impl Default for Hasher64 {
@@ -382,6 +391,14 @@ mod tests {
         d.write(b"a");
         d.write(b"bc");
         assert_ne!(c.finish(), d.finish());
+    }
+
+    #[test]
+    fn digest_separates_parts() {
+        assert_ne!(Hasher64::of(&[b"ab", b"c"]), Hasher64::of(&[b"a", b"bc"]));
+        assert_ne!(Hasher64::of(&[b"ab"]), Hasher64::of(&[b"ab", b""]));
+        assert_eq!(Hasher64::of(&[b"ab", b"c"]), Hasher64::of(&[b"ab", b"c"]));
+        assert_eq!(Hasher64::of(&[]), FNV64_OFFSET, "no parts, no writes");
     }
 
     #[test]

@@ -1,18 +1,14 @@
-//! The sharded, byte-budgeted memo table.
-//!
-//! Same shape as the server's `SolutionCache` (sharded `Mutex` maps with a
-//! logical-tick LRU and linear-scan eviction — shards are small enough
-//! that a scan beats an intrusive list), but budgeted in **bytes** rather
-//! than entries: frontier snapshots vary by orders of magnitude, and the
-//! operator's knob (`--memo-budget-mb`) is a memory bound.
+//! The memo's frontier table: a [`VerifiedLru`] budgeted in **bytes**
+//! rather than entries (frontier snapshots vary by orders of magnitude,
+//! and the operator's knob, `--memo-budget-mb`, is a memory bound), with
+//! an evaluation-signature gate in front of every hit.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::mem;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-use buffopt_integrity::Crc64;
+use buffopt_integrity::{Crc64, Verified, VerifiedLru};
 
 /// One pruned DP candidate, snapshotted in a host-independent form.
 ///
@@ -72,43 +68,47 @@ pub struct MemoStats {
     pub corrupt_evictions: u64,
 }
 
-struct Entry {
+/// One stored frontier and the evaluation signature it may seed.
+#[derive(Clone)]
+struct Frontier {
     sig: u64,
     rows: Arc<Vec<FrontierRow>>,
-    bytes: usize,
-    tick: u64,
-    /// CRC-64 of the frontier rows at store time, re-checked on every
-    /// signature-matching hit before the rows may seed a DP.
-    crc: u64,
 }
 
-/// Streaming CRC-64 over every field of every row (floats by bit
-/// pattern), so any single-bit corruption of a stored frontier is
-/// detected at the next hit.
-fn rows_crc(rows: &[FrontierRow]) -> u64 {
-    let mut h = Crc64::new();
-    h.update_u64(rows.len() as u64);
-    for r in rows {
-        h.update_u64(r.cap.to_bits());
-        h.update_u64(r.q.to_bits());
-        h.update_u64(r.cur.to_bits());
-        h.update_u64(r.ns.to_bits());
-        h.update_u64(u64::from(r.count));
-        h.update_u64(r.cost.to_bits());
-        h.update_u64(u64::from(r.parity));
-        h.update_u64(r.insertions.len() as u64);
-        for &(pos, buf) in &r.insertions {
-            h.update_u64((u64::from(pos) << 32) | u64::from(buf));
+/// Fixed per-entry overhead estimate: key, signature, map slot, ticks.
+const ENTRY_OVERHEAD: usize = 96;
+
+impl Verified for Frontier {
+    /// CRC-64 over the signature and every field of every row (floats by
+    /// bit pattern), so any single-bit corruption of a stored frontier is
+    /// detected at the next signature-matching hit.
+    fn checksum(&self) -> u64 {
+        let mut h = Crc64::new();
+        h.update_u64(self.sig);
+        h.update_u64(self.rows.len() as u64);
+        for r in self.rows.iter() {
+            h.update_u64(r.cap.to_bits());
+            h.update_u64(r.q.to_bits());
+            h.update_u64(r.cur.to_bits());
+            h.update_u64(r.ns.to_bits());
+            h.update_u64(u64::from(r.count));
+            h.update_u64(r.cost.to_bits());
+            h.update_u64(u64::from(r.parity));
+            h.update_u64(r.insertions.len() as u64);
+            for &(pos, buf) in &r.insertions {
+                h.update_u64((u64::from(pos) << 32) | u64::from(buf));
+            }
         }
+        h.finish()
     }
-    h.finish()
-}
 
-#[derive(Default)]
-struct Shard {
-    map: HashMap<u128, Entry>,
-    tick: u64,
-    bytes: usize,
+    /// Estimated bytes held.
+    fn cost(&self) -> usize {
+        let insertions: usize = self.rows.iter().map(|r| r.insertions.len()).sum();
+        ENTRY_OVERHEAD
+            + mem::size_of_val(&self.rows[..])
+            + insertions * mem::size_of::<(u32, u32)>()
+    }
 }
 
 /// A sharded, byte-budgeted, LRU-evicting map from canonical subtree
@@ -123,39 +123,18 @@ struct Shard {
 /// solution cache — is derived from `Debug` output, so table state must
 /// not leak into it.
 pub struct MemoTable {
-    shards: Vec<Mutex<Shard>>,
-    budget: usize,
-    per_shard: usize,
-    bytes: AtomicUsize,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    lru: VerifiedLru<u128, Frontier>,
     sig_conflicts: AtomicU64,
     seeded: AtomicU64,
-    stores: AtomicU64,
-    evictions: AtomicU64,
-    integrity_checks: AtomicU64,
-    corrupt_evictions: AtomicU64,
 }
 
 impl fmt::Debug for MemoTable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("MemoTable")
-            .field("budget_bytes", &self.budget)
-            .field("shards", &self.shards.len())
+            .field("budget_bytes", &self.lru.budget())
+            .field("shards", &self.lru.shards())
             .finish_non_exhaustive()
     }
-}
-
-/// Fixed per-entry overhead estimate: key, signature, map slot, ticks.
-const ENTRY_OVERHEAD: usize = 96;
-
-fn entry_bytes(rows: &[FrontierRow]) -> usize {
-    ENTRY_OVERHEAD
-        + mem::size_of_val(rows)
-        + rows
-            .iter()
-            .map(|r| r.insertions.len() * mem::size_of::<(u32, u32)>())
-            .sum::<usize>()
 }
 
 impl MemoTable {
@@ -163,36 +142,21 @@ impl MemoTable {
     /// shards (shard count is clamped to at least 1). A zero budget
     /// disables the table entirely.
     pub fn new(budget_bytes: usize, shards: usize) -> Self {
-        let shards = shards.max(1);
         MemoTable {
-            shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
-            budget: budget_bytes,
-            per_shard: budget_bytes.div_ceil(shards),
-            bytes: AtomicUsize::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            lru: VerifiedLru::new(budget_bytes, shards),
             sig_conflicts: AtomicU64::new(0),
             seeded: AtomicU64::new(0),
-            stores: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            integrity_checks: AtomicU64::new(0),
-            corrupt_evictions: AtomicU64::new(0),
         }
     }
 
     /// Whether the table can ever hold an entry.
     pub fn enabled(&self) -> bool {
-        self.budget > 0
+        self.lru.enabled()
     }
 
     /// The configured byte budget.
     pub fn budget_bytes(&self) -> usize {
-        self.budget
-    }
-
-    fn shard_of(&self, key: u128) -> &Mutex<Shard> {
-        let folded = (key as u64) ^ ((key >> 64) as u64);
-        &self.shards[(folded % self.shards.len() as u64) as usize]
+        self.lru.budget()
     }
 
     /// Looks up the frontier stored for `key`, provided its evaluation
@@ -204,35 +168,14 @@ impl MemoTable {
         if !self.enabled() {
             return None;
         }
-        let mut shard = self.shard_of(key).lock().expect("memo shard poisoned");
-        shard.tick += 1;
-        let tick = shard.tick;
-        let corrupt = match shard.map.get_mut(&key) {
-            Some(e) if e.sig == sig => {
-                // Verify-on-hit: a frontier that fails its store-time
-                // checksum must never seed a DP — evict it and miss.
-                self.integrity_checks.fetch_add(1, Ordering::Relaxed);
-                if rows_crc(&e.rows) == e.crc {
-                    e.tick = tick;
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Some(Arc::clone(&e.rows));
-                }
-                true
-            }
-            Some(_) => {
+        let accept = |f: &Frontier| {
+            let matches = f.sig == sig;
+            if !matches {
                 self.sig_conflicts.fetch_add(1, Ordering::Relaxed);
-                false
             }
-            None => false,
+            matches
         };
-        if corrupt {
-            let evicted = shard.map.remove(&key).expect("entry just observed");
-            shard.bytes -= evicted.bytes;
-            self.bytes.fetch_sub(evicted.bytes, Ordering::Relaxed);
-            self.corrupt_evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        None
+        self.lru.get(key, accept).map(|f| f.rows)
     }
 
     /// Stores (or replaces) the frontier for `key`, evicting
@@ -240,45 +183,8 @@ impl MemoTable {
     /// its byte budget. A snapshot larger than a whole shard's budget is
     /// dropped rather than stored.
     pub fn store(&self, key: u128, sig: u64, rows: Vec<FrontierRow>) {
-        if !self.enabled() {
-            return;
-        }
-        let new_bytes = entry_bytes(&rows);
-        if new_bytes > self.per_shard {
-            return;
-        }
-        let mut shard = self.shard_of(key).lock().expect("memo shard poisoned");
-        shard.tick += 1;
-        let tick = shard.tick;
-        if let Some(old) = shard.map.remove(&key) {
-            shard.bytes -= old.bytes;
-            self.bytes.fetch_sub(old.bytes, Ordering::Relaxed);
-        }
-        while shard.bytes + new_bytes > self.per_shard {
-            // Linear scan for the stalest entry; shards stay small enough
-            // that this beats maintaining an intrusive LRU list.
-            let Some((&stale, _)) = shard.map.iter().min_by_key(|(_, e)| e.tick) else {
-                break;
-            };
-            let evicted = shard.map.remove(&stale).expect("key just observed");
-            shard.bytes -= evicted.bytes;
-            self.bytes.fetch_sub(evicted.bytes, Ordering::Relaxed);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        shard.bytes += new_bytes;
-        self.bytes.fetch_add(new_bytes, Ordering::Relaxed);
-        self.stores.fetch_add(1, Ordering::Relaxed);
-        let crc = rows_crc(&rows);
-        shard.map.insert(
-            key,
-            Entry {
-                sig,
-                rows: Arc::new(rows),
-                bytes: new_bytes,
-                tick,
-                crc,
-            },
-        );
+        let rows = Arc::new(rows);
+        self.lru.replace(key, Frontier { sig, rows });
     }
 
     /// Test hook: silently bit-flips one stored frontier row (keeping
@@ -288,20 +194,11 @@ impl MemoTable {
     /// mismatch, evict the entry, and miss.
     #[doc(hidden)]
     pub fn corrupt_any(&self) -> bool {
-        for shard in &self.shards {
-            let mut shard = shard.lock().expect("memo shard poisoned");
-            if let Some(entry) = shard.map.values_mut().next() {
-                let mut rows: Vec<FrontierRow> = entry.rows.as_ref().clone();
-                if let Some(row) = rows.first_mut() {
-                    row.q = f64::from_bits(row.q.to_bits() ^ (1 << 51));
-                } else {
-                    return false;
-                }
-                entry.rows = Arc::new(rows);
-                return true;
-            }
-        }
-        false
+        self.lru.corrupt(None, false, |f| {
+            let row = Arc::make_mut(&mut f.rows).first_mut();
+            row.map(|r| r.q = f64::from_bits(r.q.to_bits() ^ (1 << 51)))
+                .is_some()
+        })
     }
 
     /// Records that the DP seeded one merge point from a hit. Kept
@@ -312,26 +209,22 @@ impl MemoTable {
         self.seeded.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A consistent-enough counter snapshot (entry count sums shard sizes
-    /// under their locks; counters are relaxed atomics).
+    /// A consistent-enough counter snapshot (occupancy sums shards under
+    /// their locks; counters are relaxed atomics).
     pub fn stats(&self) -> MemoStats {
-        let entries = self
-            .shards
-            .iter()
-            .map(|s| s.lock().expect("memo shard poisoned").map.len())
-            .sum();
+        let s = self.lru.stats();
         MemoStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
+            hits: s.hits,
+            misses: s.misses,
             sig_conflicts: self.sig_conflicts.load(Ordering::Relaxed),
             seeded: self.seeded.load(Ordering::Relaxed),
-            stores: self.stores.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            bytes: self.bytes.load(Ordering::Relaxed),
-            entries,
-            budget_bytes: self.budget,
-            integrity_checks: self.integrity_checks.load(Ordering::Relaxed),
-            corrupt_evictions: self.corrupt_evictions.load(Ordering::Relaxed),
+            stores: s.stores,
+            evictions: s.evictions,
+            bytes: s.cost,
+            entries: s.entries,
+            budget_bytes: self.lru.budget(),
+            integrity_checks: s.integrity_checks,
+            corrupt_evictions: s.corrupt_evictions,
         }
     }
 }
@@ -465,9 +358,21 @@ mod tests {
     }
 
     #[test]
-    fn rows_crc_sees_every_field() {
+    fn checksum_sees_the_signature_and_every_field() {
+        let crc = |sig: u64, rows: &[FrontierRow]| {
+            Frontier {
+                sig,
+                rows: Arc::new(rows.to_vec()),
+            }
+            .checksum()
+        };
         let base = vec![row(1, 2)];
-        let reference = rows_crc(&base);
+        let reference = crc(1, &base);
+        assert_ne!(
+            crc(2, &base),
+            reference,
+            "the signature must change the crc"
+        );
         let variants: Vec<Vec<FrontierRow>> = vec![
             {
                 let mut v = base.clone();
@@ -501,7 +406,7 @@ mod tests {
             },
         ];
         for (i, v) in variants.iter().enumerate() {
-            assert_ne!(rows_crc(v), reference, "variant {i} must change the crc");
+            assert_ne!(crc(1, v), reference, "variant {i} must change the crc");
         }
     }
 

@@ -872,7 +872,8 @@ fn reverify_close(a: f64, b: f64) -> bool {
 /// record's solution, and reports whether the record's `slack` and
 /// `worst_headroom` survive. A checksum proves bytes didn't rot; this
 /// proves the *semantics* still hold, which also catches corruption that
-/// predates checksumming (see `SolutionCache`'s verify-on-hit caveat).
+/// predates checksumming, which the solution cache's verify-on-hit check
+/// cannot see.
 ///
 /// Only DP-rung records carry a [`Solution`] to audit; everything else is
 /// [`Reverify::NotApplicable`].

@@ -88,14 +88,15 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use buffopt::{CancelReason, CancelToken};
+use buffopt::{CancelReason, CancelToken, Hasher64};
+use buffopt_integrity::VerifiedLru;
 use buffopt_pipeline::fault::{FaultAction, FaultPlan, Seam};
 use buffopt_pipeline::{
     hush_panics, optimize_input, optimize_input_with_cancel, reverify_outcome, BatchReport,
     NetInput, NetOutcome, Outcome, PanicHush, PipelineConfig, Reverify,
 };
 
-use crate::cache::{digest, SolutionCache};
+use crate::cache::{CachedRecord, CACHE_SHARDS};
 use crate::metrics::{Metrics, MetricsSnapshot};
 
 /// One unit of work: a net plus an optional cache key. Jobs without a
@@ -172,8 +173,6 @@ pub struct EngineOptions {
     pub jobs: usize,
     /// Total solution-cache capacity in records; 0 disables caching.
     pub cache_capacity: usize,
-    /// Cache shards (lock granularity).
-    pub cache_shards: usize,
     /// Queue high-watermark for [`Engine::submit`] admission; 0 means
     /// `2 × jobs` (the default backpressure depth).
     pub queue_depth: usize,
@@ -205,7 +204,6 @@ impl Default for EngineOptions {
         EngineOptions {
             jobs: default_jobs(),
             cache_capacity: 1024,
-            cache_shards: 8,
             queue_depth: 0,
             request_deadline: None,
             max_retries: 1,
@@ -409,7 +407,7 @@ struct Core {
     queue: TaskQueue,
     cfg: PipelineConfig,
     plan: Option<Arc<FaultPlan>>,
-    cache: SolutionCache,
+    cache: VerifiedLru<u64, CachedRecord>,
     metrics: Metrics,
     max_retries: u32,
     /// Worker thread handles, reaped by [`Core::supervise`] and joined
@@ -552,7 +550,13 @@ impl Core {
         // nothing to re-derive.
         let cache_key = task.job.cache_key.filter(|_| fresh);
         if let Some(key) = cache_key {
-            self.cache.insert(key, outcome.clone(), worker);
+            self.cache.insert(
+                key,
+                CachedRecord {
+                    outcome: outcome.clone(),
+                    worker,
+                },
+            );
             self.fire_store_fault(key);
         }
         if fresh {
@@ -577,7 +581,8 @@ impl Core {
         };
         match plan.fire(Seam::Store) {
             Some(FaultAction::BitFlipCacheEntry) => {
-                self.cache.corrupt(key, false);
+                self.cache
+                    .corrupt(Some(key), false, CachedRecord::flip_slack);
             }
             Some(FaultAction::BitFlipMemoEntry) => {
                 if let Some(memo) = self.cfg.memo.as_ref() {
@@ -711,7 +716,7 @@ impl Engine {
         // optimizer flag into the cache key, so two engines with
         // different configs never alias records. `Debug` output is
         // stable within a process, which is all an in-memory cache needs.
-        let cfg_digest = digest(&[format!("{cfg:?}").as_bytes()]);
+        let cfg_digest = Hasher64::of(&[format!("{cfg:?}").as_bytes()]);
         let verify_rate = opts.verify_sample_rate.clamp(0.0, 1.0);
         if verify_rate > 0.0 {
             auditor();
@@ -731,7 +736,7 @@ impl Engine {
             },
             cfg,
             plan: opts.fault_plan,
-            cache: SolutionCache::new(opts.cache_capacity, opts.cache_shards),
+            cache: VerifiedLru::new(opts.cache_capacity, CACHE_SHARDS),
             metrics: Metrics::default(),
             max_retries: opts.max_retries,
             workers: Mutex::new(Vec::with_capacity(jobs)),
@@ -795,7 +800,7 @@ impl Engine {
     /// the content *and* this engine's full configuration, so records
     /// computed under different libraries, budgets, or flags never alias.
     pub fn key_for(&self, name: &str, body: &str) -> u64 {
-        digest(&[
+        Hasher64::of(&[
             &self.cfg_digest.to_le_bytes(),
             name.as_bytes(),
             body.as_bytes(),
@@ -831,13 +836,15 @@ impl Engine {
     }
 
     /// Test-only: corrupts the cached record for `key` in place (see
-    /// `SolutionCache::corrupt`). `rehash` recomputes the stored checksum
+    /// [`VerifiedLru::corrupt`]). `rehash` recomputes the stored checksum
     /// over the corrupted bytes, modelling corruption that *predates*
     /// checksumming — invisible to verify-on-hit, catchable only by the
     /// sampled audit.
     #[doc(hidden)]
     pub fn corrupt_cache_entry(&self, key: u64, rehash: bool) -> bool {
-        self.core.cache.corrupt(key, rehash)
+        self.core
+            .cache
+            .corrupt(Some(key), rehash, CachedRecord::flip_slack)
     }
 
     /// Stops admitting new requests: every subsequent submission is
@@ -905,7 +912,7 @@ impl Engine {
         }
         self.core.metrics.record_request();
         if let Some(key) = job.cache_key {
-            if let Some((outcome, worker)) = self.core.cache.get(key) {
+            if let Some(CachedRecord { outcome, worker }) = self.core.cache.get(key, |_| true) {
                 self.core.maybe_verify(Some(key), &job.input, &outcome);
                 on_done(Ok(Served {
                     outcome,
@@ -1326,6 +1333,25 @@ mod tests {
             },
         );
         assert_ne!(k, e2.key_for("a", "body"), "config matters");
+    }
+
+    #[test]
+    fn key_for_golden_values() {
+        // Pinned cache keys: a moved key silently cold-starts every
+        // cache, so changes to the digest plumbing must keep them.
+        let e = Engine::new(
+            PipelineConfig::new(buffopt_buffers::catalog::single_buffer()),
+            EngineOptions {
+                jobs: 1,
+                ..EngineOptions::default()
+            },
+        );
+        assert_eq!(e.key_for("a", "body"), 0xa9cf_538f_653b_0a3f);
+        assert_eq!(e.key_for("", ""), 0xa798_9252_34a7_8251);
+        assert_eq!(
+            e.key_for("bus7", "driver d 300\nsink s 2e-14 1e-9 0.8\n"),
+            0x9003_0846_0372_35d3
+        );
     }
 
     #[test]

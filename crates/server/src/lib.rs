@@ -16,9 +16,11 @@
 //!   bounded number of times, and sheds load ([`Rejection`]) when the
 //!   bounded queue hits its high-watermark or a per-request deadline
 //!   expires;
-//! * [`SolutionCache`] — a sharded LRU keyed by a content digest of
-//!   `(net, scenario, library, budget)`, serving repeated nets (ECO-style
-//!   re-runs) without re-optimizing, with hit/miss/eviction counters;
+//! * [`cache`] — the solution cache's record type: each engine keeps
+//!   its records in a `buffopt_integrity::VerifiedLru` keyed by a content
+//!   digest of `(net, scenario, library, budget)`, serving repeated nets
+//!   (ECO-style re-runs) without re-optimizing, with hit/miss/eviction
+//!   counters;
 //! * [`Metrics`] — atomic request/outcome/rung counters plus a
 //!   fixed-bucket latency histogram per degradation rung, aggregated
 //!   across workers and snapshot as JSON;
@@ -28,7 +30,6 @@
 //!   `stats` and `shutdown` commands, served by the sharded epoll
 //!   reactor ([`serve_sharded`]).
 //!
-//! [`SolutionCache`]: cache::SolutionCache
 //! [`Metrics`]: metrics::Metrics
 
 #![forbid(unsafe_code)]
@@ -40,7 +41,6 @@ pub mod metrics;
 mod reactor;
 pub mod service;
 
-pub use cache::{digest, SolutionCache};
 pub use engine::{
     default_jobs, Answer, CacheStatus, Engine, EngineOptions, Job, Rejection, Served, Ticket,
 };

@@ -710,6 +710,7 @@ mod tests {
                     capacity: 64,
                     integrity_checks: 5,
                     corrupt_evictions: 1,
+                    ..CacheStats::default()
                 },
                 MemoStats {
                     integrity_checks: 3,

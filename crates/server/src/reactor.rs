@@ -83,14 +83,13 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use buffopt::{CancelReason, CancelToken};
+use buffopt::{CancelReason, CancelToken, Hasher64};
 use buffopt_integrity::{decode_frame, encode_frame, is_framed};
 use buffopt_netpoll::{
     accept_nonblocking, Event, FillOutcome, Interest, Poller, RecvBuf, SendBuf, TakeLine, Waker,
 };
 use buffopt_pipeline::fault::{FaultAction, Seam};
 
-use crate::cache::digest;
 use crate::engine::{Engine, Ticket};
 use crate::metrics::ShardStat;
 use crate::service::{
@@ -371,11 +370,11 @@ fn refuse(mut stream: TcpStream) {
 /// actually needs — deterministic, so repeated nets always land on the
 /// engine whose cache and memo already hold them.
 fn route<'a>(engines: &'a [Arc<Engine>], id: &str, net: &str) -> &'a Arc<Engine> {
-    let key = digest(&[id.as_bytes(), net.as_bytes()]);
+    let key = Hasher64::of(&[id.as_bytes(), net.as_bytes()]);
     engines
         .iter()
         .enumerate()
-        .max_by_key(|(i, _)| digest(&[&key.to_le_bytes(), &(*i as u64).to_le_bytes()]))
+        .max_by_key(|(i, _)| Hasher64::of(&[&key.to_le_bytes(), &(*i as u64).to_le_bytes()]))
         .map(|(_, e)| e)
         .expect("serve_sharded requires at least one engine")
 }
@@ -918,5 +917,49 @@ impl Shard {
         {
             conn.interest = Some(want);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn route_golden_choices() {
+        // Pinned rendezvous choices: repeated nets must keep landing on
+        // the engine whose cache and memo already hold them.
+        let engines: Vec<Arc<Engine>> =
+            (0..4)
+                .map(|_| {
+                    Arc::new(Engine::new(
+                        buffopt_pipeline::PipelineConfig::new(
+                            buffopt_buffers::catalog::single_buffer(),
+                        ),
+                        crate::engine::EngineOptions {
+                            jobs: 1,
+                            cache_capacity: 0,
+                            ..Default::default()
+                        },
+                    ))
+                })
+                .collect();
+        let requests = [
+            ("a", "body"),
+            ("bus7", "driver d 300\n"),
+            ("", ""),
+            ("n", "x"),
+            ("n1", "x"),
+            ("n2", "x"),
+            ("n3", "x"),
+            ("n4", "x"),
+        ];
+        let picks: Vec<usize> = requests
+            .iter()
+            .map(|(id, net)| {
+                let chosen = route(&engines, id, net);
+                engines.iter().position(|e| Arc::ptr_eq(e, chosen)).unwrap()
+            })
+            .collect();
+        assert_eq!(picks, [0, 3, 0, 0, 3, 2, 0, 2]);
     }
 }
