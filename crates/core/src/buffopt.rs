@@ -2,6 +2,13 @@
 //! optimization (Problem 2), plus the Problem 3 production mode (fewest
 //! buffers such that noise *and* timing are satisfied, slack maximized as
 //! a secondary objective).
+//!
+//! Every entry point runs the DP once, through `root_frontier`, and then
+//! selects from the root frontier it returns: the noise-clean source
+//! solutions that survive the (count, cost, slack) reduce, in ascending
+//! count (Lillis' candidate lists indexed by buffer count). Problem 2 is
+//! that list's greatest-slack row; Problem 3, the per-count table and the
+//! cost objective are other picks from the same kind of list.
 
 use std::sync::Arc;
 
@@ -73,6 +80,113 @@ fn config_of(options: &BuffOptOptions) -> DpConfig {
     }
 }
 
+/// The one BuffOpt DP run: every noise-clean source solution that
+/// survives the root reduce, in (count ↑, cost ↑, slack ↓) sort order.
+/// Never empty — a run with no survivor is
+/// [`CoreError::NoFeasibleCandidate`].
+fn root_frontier(
+    ws: &mut DpWorkspace,
+    tree: &RoutingTree,
+    scenario: &NoiseScenario,
+    lib: &BufferLibrary,
+    cfg: &DpConfig,
+    options: &BuffOptOptions,
+) -> Result<(Vec<SourceCand>, DpStats), CoreError> {
+    dp::run_with_memo(
+        &mut ws.dp,
+        tree,
+        Some(scenario),
+        lib,
+        cfg,
+        &options.budget,
+        options.memo.as_deref(),
+    )
+}
+
+/// Which root-frontier row an entry point serves.
+#[derive(Debug, Clone, Copy)]
+enum Pick {
+    /// Problem 2: the greatest slack.
+    MaxSlack,
+    /// Problem 3: the fewest buffers meeting timing, then the greatest
+    /// slack.
+    MinBuffers,
+    /// The Lillis power objective: the least total cost meeting timing,
+    /// then the greatest slack.
+    MinCost,
+}
+
+/// Index of the row `pick` serves from a root frontier (rows in
+/// ascending count); `None` only for an empty frontier. Tie rules:
+///
+/// * [`Pick::MaxSlack`]: among rows of greatest slack, the **last** in
+///   frontier order — on an exact slack tie the higher count wins;
+/// * [`Pick::MinBuffers`]: the first timing-feasible row in
+///   (count ↑, slack ↓) order, i.e. the greatest slack within the
+///   smallest count that has a feasible row, the first such row on a
+///   tie; with no feasible row, the [`Pick::MaxSlack`] row;
+/// * [`Pick::MinCost`]: among timing-feasible rows the least cost, then
+///   the greatest slack, the first such row on a tie; with no feasible
+///   row, the [`Pick::MaxSlack`] row.
+fn select(rows: &[SourceCand], pick: Pick) -> Option<usize> {
+    debug_assert!(
+        rows.windows(2).all(|w| w[0].count <= w[1].count),
+        "root frontier must ascend in buffer count"
+    );
+    let meeting = match pick {
+        Pick::MaxSlack => None,
+        Pick::MinBuffers => {
+            let mut best: Option<usize> = None;
+            for (i, r) in rows.iter().enumerate() {
+                if let Some(b) = best {
+                    if r.count != rows[b].count {
+                        break; // past the first count with a feasible row
+                    }
+                    if r.slack > rows[b].slack {
+                        best = Some(i);
+                    }
+                } else if r.slack >= 0.0 {
+                    best = Some(i);
+                }
+            }
+            best
+        }
+        Pick::MinCost => rows
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| r.slack >= 0.0)
+            .min_by(|(_, a), (_, b)| {
+                a.cost
+                    .partial_cmp(&b.cost)
+                    .expect("finite costs")
+                    .then(b.slack.partial_cmp(&a.slack).expect("finite slack"))
+            })
+            .map(|(i, _)| i),
+    };
+    // `max_by` keeps the last of equal maxima.
+    meeting.or_else(|| {
+        rows.iter()
+            .enumerate()
+            .max_by(|(_, a), (_, b)| a.slack.partial_cmp(&b.slack).expect("finite slack"))
+            .map(|(i, _)| i)
+    })
+}
+
+/// One DP run over the BuffOpt configuration, served by `pick`.
+fn solve(
+    ws: &mut DpWorkspace,
+    tree: &RoutingTree,
+    scenario: &NoiseScenario,
+    lib: &BufferLibrary,
+    cfg: &DpConfig,
+    options: &BuffOptOptions,
+    pick: Pick,
+) -> Result<Solution, CoreError> {
+    let (mut rows, stats) = root_frontier(ws, tree, scenario, lib, cfg, options)?;
+    let i = select(&rows, pick).ok_or(CoreError::NoFeasibleCandidate)?;
+    Ok(to_solution(tree, rows.swap_remove(i), &stats))
+}
+
 /// Problem 2: maximize the source timing slack such that every noise
 /// constraint (sinks and inserted buffer inputs) is satisfied.
 ///
@@ -108,20 +222,15 @@ pub fn optimize_with(
     lib: &BufferLibrary,
     options: &BuffOptOptions,
 ) -> Result<Solution, CoreError> {
-    let (cands, stats) = dp::run_with_memo(
-        &mut ws.dp,
+    solve(
+        ws,
         tree,
-        Some(scenario),
+        scenario,
         lib,
         &config_of(options),
-        &options.budget,
-        options.memo.as_deref(),
-    )?;
-    let best = cands
-        .into_iter()
-        .max_by(|a, b| a.slack.partial_cmp(&b.slack).expect("finite slack"))
-        .ok_or(CoreError::NoFeasibleCandidate)?;
-    Ok(to_solution(tree, best, &stats))
+        options,
+        Pick::MaxSlack,
+    )
 }
 
 /// The best noise-clean solution for every buffer count up to
@@ -165,17 +274,10 @@ pub fn optimize_per_count_with(
         max_buffers: Some(max_buffers),
         ..config_of(options)
     };
-    let (cands, stats) = dp::run_with_memo(
-        &mut ws.dp,
-        tree,
-        Some(scenario),
-        lib,
-        &cfg,
-        &options.budget,
-        options.memo.as_deref(),
-    )?;
+    let (rows, stats) = root_frontier(ws, tree, scenario, lib, &cfg, options)?;
     let mut out: Vec<Option<Solution>> = (0..=max_buffers).map(|_| None).collect();
-    for c in cands {
+    // The greatest slack per count, the first row on a tie.
+    for c in rows {
         let count = c.count;
         let better =
             count <= max_buffers && out[count].as_ref().is_none_or(|prev| c.slack > prev.slack);
@@ -217,31 +319,56 @@ pub fn min_buffers_with(
     lib: &BufferLibrary,
     options: &BuffOptOptions,
 ) -> Result<Solution, CoreError> {
-    let (mut cands, stats) = dp::run_with_memo(
-        &mut ws.dp,
+    solve(
+        ws,
         tree,
-        Some(scenario),
+        scenario,
         lib,
         &config_of(options),
-        &options.budget,
-        options.memo.as_deref(),
-    )?;
-    cands.sort_by(|a, b| {
-        a.count
-            .cmp(&b.count)
-            .then(b.slack.partial_cmp(&a.slack).expect("finite slack"))
-    });
-    if let Some(first_meeting) = cands.iter().position(|c| c.slack >= 0.0) {
-        // Counts ascend and slack descends within a count, so the first
-        // timing-feasible entry is the fewest-buffer, best-slack one.
-        let c = cands.swap_remove(first_meeting);
-        return Ok(to_solution(tree, c, &stats));
-    }
-    let best = cands
-        .into_iter()
-        .max_by(|a, b| a.slack.partial_cmp(&b.slack).expect("finite slack"))
-        .ok_or(CoreError::NoFeasibleCandidate)?;
-    Ok(to_solution(tree, best, &stats))
+        options,
+        Pick::MinBuffers,
+    )
+}
+
+/// [`min_buffers_with`]'s pick and, when it misses timing,
+/// [`optimize_with`]'s pick, both from one DP run.
+#[derive(Debug, Clone)]
+pub struct LadderPicks {
+    /// The Problem 3 solution ([`min_buffers_with`]).
+    pub problem3: Solution,
+    /// The Problem 2 solution ([`optimize_with`]); `Some` exactly when
+    /// `problem3.slack < 0`. Problem 3 then falls back to the
+    /// greatest-slack row itself, so both hold the same row.
+    pub problem2: Option<Solution>,
+}
+
+/// The first two rungs of a degradation ladder from one DP run: Problem 3
+/// and, only when no buffer count meets timing, Problem 2. Each pick
+/// equals what [`min_buffers_with`] and [`optimize_with`] return on their
+/// own, bit for bit.
+///
+/// # Errors
+///
+/// Same as [`optimize`]; the error is the one either separate call would
+/// return.
+pub fn ladder_picks_with(
+    ws: &mut DpWorkspace,
+    tree: &RoutingTree,
+    scenario: &NoiseScenario,
+    lib: &BufferLibrary,
+    options: &BuffOptOptions,
+) -> Result<LadderPicks, CoreError> {
+    let (mut rows, stats) = root_frontier(ws, tree, scenario, lib, &config_of(options), options)?;
+    let p3 = select(&rows, Pick::MinBuffers).ok_or(CoreError::NoFeasibleCandidate)?;
+    let problem2 = if rows[p3].slack < 0.0 {
+        select(&rows, Pick::MaxSlack).map(|i| to_solution(tree, rows[i].clone(), &stats))
+    } else {
+        None
+    };
+    Ok(LadderPicks {
+        problem3: to_solution(tree, rows.swap_remove(p3), &stats),
+        problem2,
+    })
 }
 
 /// The Lillis power objective: the solution with the smallest **total
@@ -282,33 +409,7 @@ pub fn min_cost_with(
         cost_aware: true,
         ..config_of(options)
     };
-    let (cands, stats) = dp::run_with_memo(
-        &mut ws.dp,
-        tree,
-        Some(scenario),
-        lib,
-        &cfg,
-        &options.budget,
-        options.memo.as_deref(),
-    )?;
-    let best_meeting = cands
-        .iter()
-        .filter(|c| c.slack >= 0.0)
-        .min_by(|a, b| {
-            a.cost
-                .partial_cmp(&b.cost)
-                .expect("finite costs")
-                .then(b.slack.partial_cmp(&a.slack).expect("finite slack"))
-        })
-        .cloned();
-    let chosen = match best_meeting {
-        Some(c) => c,
-        None => cands
-            .into_iter()
-            .max_by(|a, b| a.slack.partial_cmp(&b.slack).expect("finite slack"))
-            .ok_or(CoreError::NoFeasibleCandidate)?,
-    };
-    Ok(to_solution(tree, chosen, &stats))
+    solve(ws, tree, scenario, lib, &cfg, options, Pick::MinCost)
 }
 
 #[cfg(test)]
@@ -343,6 +444,171 @@ mod tests {
         }
         let t = b.build().expect("tree");
         segment::segment_uniform(&t, pieces).expect("segment").tree
+    }
+
+    fn row(count: usize, cost: f64, slack: f64) -> SourceCand {
+        SourceCand {
+            slack,
+            count,
+            cost,
+            insertions: Vec::new(),
+        }
+    }
+
+    /// Nonzero `x` moved `n` representable values towards +∞.
+    fn ulps_up(x: f64, n: u64) -> f64 {
+        if x < 0.0 {
+            f64::from_bits(x.to_bits() - n)
+        } else {
+            f64::from_bits(x.to_bits() + n)
+        }
+    }
+
+    /// The selections as they were written before the entry points shared
+    /// one root frontier: `optimize`'s `max_by`, `min_buffers`' stable
+    /// sort then `position` then `max_by`, and `min_cost`'s `min_by`.
+    fn legacy_picks(rows: &[SourceCand]) -> (usize, usize, usize) {
+        let by_slack = |&a: &usize, &b: &usize| rows[a].slack.partial_cmp(&rows[b].slack).unwrap();
+        let max_slack = (0..rows.len()).max_by(by_slack).unwrap();
+        let mut order: Vec<usize> = (0..rows.len()).collect();
+        order.sort_by(|&a, &b| {
+            rows[a]
+                .count
+                .cmp(&rows[b].count)
+                .then(rows[b].slack.partial_cmp(&rows[a].slack).unwrap())
+        });
+        let min_buffers = match order.iter().position(|&i| rows[i].slack >= 0.0) {
+            Some(p) => order[p],
+            None => order.iter().copied().max_by(by_slack).unwrap(),
+        };
+        let min_cost = (0..rows.len())
+            .filter(|&i| rows[i].slack >= 0.0)
+            .min_by(|&a, &b| {
+                rows[a]
+                    .cost
+                    .partial_cmp(&rows[b].cost)
+                    .unwrap()
+                    .then(rows[b].slack.partial_cmp(&rows[a].slack).unwrap())
+            })
+            .unwrap_or(max_slack);
+        (max_slack, min_buffers, min_cost)
+    }
+
+    /// The selection tie rules, on hand-built root frontiers: Problem 2
+    /// and Problem 3's fallback pick the same row, the last of the
+    /// greatest slack (so an exact tie goes to the higher count), and
+    /// every pick equals what the separate selections used to return.
+    #[test]
+    fn selection_tie_rules_are_pinned() {
+        let s = -1e-10;
+        // (frontier, expected Problem 2 row, expected Problem 3 row)
+        let cases: Vec<(&str, Vec<SourceCand>, usize, usize)> = vec![
+            (
+                "equal max slack at different counts and costs",
+                vec![row(0, 0.0, -5e-10), row(1, 8.0, s), row(2, 4.0, s)],
+                2,
+                2,
+            ),
+            (
+                "equal max slack, both timing-feasible",
+                vec![row(1, 8.0, 1e-10), row(2, 4.0, 1e-10)],
+                1,
+                0,
+            ),
+            (
+                "feasible at two counts, more slack at the higher",
+                vec![row(0, 0.0, -1e-10), row(1, 2.0, 1e-10), row(2, 3.0, 3e-10)],
+                2,
+                1,
+            ),
+            (
+                "equal feasible slack within one count",
+                vec![row(1, 2.0, 1e-10), row(1, 4.0, 1e-10)],
+                1,
+                0,
+            ),
+            (
+                "every row timing-infeasible",
+                vec![
+                    row(0, 0.0, -3e-10),
+                    row(1, 2.0, -2e-10),
+                    row(1, 4.0, -1.5e-10),
+                    row(2, 3.0, -1.8e-10),
+                ],
+                2,
+                2,
+            ),
+            ("a single infeasible row", vec![row(3, 6.0, s)], 0, 0),
+            ("a single feasible row", vec![row(3, 6.0, 2e-10)], 0, 0),
+            (
+                "slacks two ulps apart, higher at the lower count",
+                vec![row(1, 8.0, ulps_up(s, 2)), row(2, 4.0, s)],
+                0,
+                0,
+            ),
+            (
+                "slacks two ulps apart, higher at the higher count",
+                vec![row(1, 8.0, s), row(2, 4.0, ulps_up(s, 2))],
+                1,
+                1,
+            ),
+            (
+                "one ulp either side of zero",
+                vec![
+                    row(1, 2.0, -f64::from_bits(1)),
+                    row(2, 1.0, f64::from_bits(1)),
+                ],
+                1,
+                1,
+            ),
+        ];
+        for (what, rows, want_p2, want_p3) in &cases {
+            let (max_slack, min_buffers, min_cost) = legacy_picks(rows);
+            let p2 = select(rows, Pick::MaxSlack);
+            let p3 = select(rows, Pick::MinBuffers);
+            assert_eq!(p2, Some(*want_p2), "{what}: Problem 2");
+            assert_eq!(p3, Some(*want_p3), "{what}: Problem 3");
+            assert_eq!(p2, Some(max_slack), "{what}: Problem 2 vs legacy");
+            assert_eq!(p3, Some(min_buffers), "{what}: Problem 3 vs legacy");
+            assert_eq!(
+                select(rows, Pick::MinCost),
+                Some(min_cost),
+                "{what}: min cost vs legacy"
+            );
+            if rows.iter().all(|r| r.slack < 0.0) {
+                assert_eq!(p3, p2, "{what}: Problem 3 falls back to Problem 2's row");
+            }
+        }
+        assert_eq!(select(&[], Pick::MaxSlack), None);
+    }
+
+    /// `ladder_picks_with` serves exactly what the separate entry points
+    /// return, with a Problem 2 pick only when Problem 3 misses timing.
+    #[test]
+    fn ladder_picks_match_separate_calls() {
+        let lib = catalog::ibm_like();
+        let opts = BuffOptOptions::default();
+        let mut ws = DpWorkspace::new();
+        for rat in [3e-9, 1.5e-9, 1e-12] {
+            let t = two_pin_segmented(20_000.0, 16, rat);
+            let s = estimation(&t);
+            let picks = ladder_picks_with(&mut ws, &t, &s, &lib, &opts).expect("picks");
+            let p3 = min_buffers_with(&mut ws, &t, &s, &lib, &opts).expect("p3");
+            let same = |a: &Solution, b: &Solution| {
+                a.buffers == b.buffers
+                    && a.slack.to_bits() == b.slack.to_bits()
+                    && a.assignment == b.assignment
+            };
+            assert!(same(&picks.problem3, &p3), "rat {rat}: Problem 3");
+            match &picks.problem2 {
+                None => assert!(p3.slack >= 0.0, "rat {rat}: missing Problem 2 pick"),
+                Some(p2) => {
+                    assert!(p3.slack < 0.0, "rat {rat}: needless Problem 2 pick");
+                    let direct = optimize_with(&mut ws, &t, &s, &lib, &opts).expect("p2");
+                    assert!(same(p2, &direct), "rat {rat}: Problem 2");
+                }
+            }
+        }
     }
 
     #[test]

@@ -677,6 +677,104 @@ mod tests {
         assert_eq!(buf.take_line(16), TakeLine::TooLong(20));
     }
 
+    /// An in-memory transport delivering `data` in scheduled chunks: each
+    /// chunk arrives in reads of at most `read_cap` bytes, optionally
+    /// after one `Interrupted`, and is followed by `WouldBlock`; the end
+    /// of `data` reads as EOF.
+    struct Trickle {
+        data: Vec<u8>,
+        pos: usize,
+        /// (end offset, interrupt first) per chunk, in delivery order.
+        chunks: std::collections::VecDeque<(usize, bool)>,
+        read_cap: usize,
+    }
+
+    impl Trickle {
+        fn new(data: &[u8], sizes: &[(usize, bool)], read_cap: usize) -> Trickle {
+            let mut end = 0;
+            let mut chunks = std::collections::VecDeque::new();
+            for &(size, interrupt) in sizes {
+                if end == data.len() {
+                    break;
+                }
+                end = (end + size).min(data.len());
+                chunks.push_back((end, interrupt));
+            }
+            // Whatever the schedule left over arrives as one last chunk.
+            if end < data.len() {
+                chunks.push_back((data.len(), false));
+            }
+            Trickle {
+                data: data.to_vec(),
+                pos: 0,
+                chunks,
+                read_cap,
+            }
+        }
+    }
+
+    impl Read for Trickle {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let Some(&mut (end, ref mut interrupt)) = self.chunks.front_mut() else {
+                return Ok(0);
+            };
+            if std::mem::take(interrupt) {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            if self.pos == end {
+                self.chunks.pop_front();
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            let n = (end - self.pos).min(buf.len()).min(self.read_cap);
+            buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    /// Drives `src` the way the reactor does — fill, then take lines
+    /// until none is complete — to EOF or the first over-long line.
+    /// Returns the lines and whether `TooLong` fired.
+    fn drain_lines(src: &mut impl Read, max_line: usize) -> (Vec<Vec<u8>>, bool) {
+        let mut buf = RecvBuf::new();
+        let mut lines = Vec::new();
+        loop {
+            let fill = buf.fill_from(src, usize::MAX).expect("in-memory read");
+            loop {
+                match buf.take_line(max_line) {
+                    TakeLine::Line(line) => lines.push(line),
+                    TakeLine::Partial => break,
+                    TakeLine::TooLong(_) => return (lines, true),
+                }
+            }
+            if fill == FillOutcome::Eof {
+                return (lines, false);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// However the byte stream is split into reads, `fill_from` and
+        /// `take_line` yield the lines one-shot delivery yields, and
+        /// flag an over-long line in both cases or in neither.
+        #[test]
+        fn recv_buf_lines_survive_any_split_schedule(
+            bytes in proptest::prelude::prop::collection::vec(0u8..6, 0..160),
+            sizes in proptest::prelude::prop::collection::vec(
+                (1usize..24, proptest::prelude::prop::bool::ANY), 0..40),
+            read_cap in 1usize..8,
+            max_line in 0usize..24,
+        ) {
+            // A small alphabet, so newlines and CRLF pairs are frequent.
+            let data: Vec<u8> = bytes.iter().map(|&b| b"ab\r\nx\n"[usize::from(b)]).collect();
+            let whole = drain_lines(&mut &data[..], max_line);
+            let split = drain_lines(&mut Trickle::new(&data, &sizes, read_cap), max_line);
+            proptest::prop_assert_eq!(split, whole);
+        }
+    }
+
     #[test]
     fn send_buf_backpressures_and_resumes() {
         let (mut a, b) = pair();

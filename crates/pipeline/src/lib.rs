@@ -16,6 +16,13 @@
 //!    meeting *both* noise and timing. Serves the net when slack ≥ 0.
 //! 2. [`Rung::Problem2`] — maximum slack under noise constraints; accepted
 //!    even when timing is unmeetable (negative slack ⇒ degraded).
+//!
+//!    Rungs 1 and 2 share one DP run ([`algo3::ladder_picks_with`]):
+//!    rung 2 is a second selection from the root frontier rung 1 already
+//!    built, not a rerun. A DP error or panic is recorded for both rungs,
+//!    since a rerun would fail the same way. A net whose one run finishes
+//!    just before its deadline is therefore served by rung 2 rather than
+//!    failing over to rung 3 on an expired deadline.
 //! 3. [`Rung::NoiseOnly`] — Algorithm 2 continuous noise avoidance on the
 //!    unsegmented tree: ignores timing entirely, but leaves the net
 //!    functionally correct.
@@ -36,7 +43,7 @@ pub mod journal;
 use std::panic::{self, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-use buffopt::buffopt::{self as algo3, BuffOptOptions};
+use buffopt::buffopt::{self as algo3, BuffOptOptions, LadderPicks};
 use buffopt::{
     algorithm2, audit, Assignment, BudgetResource, CancelToken, CoreError, DpWorkspace, RunBudget,
     Solution,
@@ -589,11 +596,18 @@ fn optimize_net_cancellable(
     };
 
     if let Ok((work_tree, work_scenario)) = &segmented {
+        // Rungs 1–2 share one DP run: Problem 3's pick and, when it misses
+        // timing, Problem 2's pick from the same root frontier.
+        let picks = guarded(|| {
+            algo3::ladder_picks_with(ws, work_tree, work_scenario, &cfg.library, &options)
+        });
         // Rung 1 — Problem 3: fewest buffers meeting noise AND timing.
-        match guarded(|| {
-            algo3::min_buffers_with(ws, work_tree, work_scenario, &cfg.library, &options)
-        }) {
-            Ok(sol) if sol.slack >= 0.0 => {
+        let problem2 = match picks {
+            // No Problem 2 pick: some buffer count meets timing.
+            Ok(LadderPicks {
+                problem3: sol,
+                problem2: None,
+            }) => {
                 return finish(
                     ws,
                     out,
@@ -606,11 +620,11 @@ fn optimize_net_cancellable(
                     start,
                 );
             }
-            Ok(sol) if sol.degraded_by.is_some() => {
+            Ok(LadderPicks { problem3: sol, .. }) if sol.degraded_by.is_some() => {
                 // Resource pressure already tightened this run's search;
                 // lower rungs share the same budget and would hit the same
                 // wall. Serve the feasible-but-suboptimal result and record
-                // which cap tripped instead of rerunning.
+                // which cap tripped instead of falling through.
                 return finish(
                     ws,
                     out,
@@ -623,23 +637,33 @@ fn optimize_net_cancellable(
                     start,
                 );
             }
-            Ok(sol) => out.attempts.push(Attempt {
-                rung: Rung::Problem3,
-                error: format!("timing unmet: best noise-clean slack {:e} s", sol.slack),
-            }),
-            Err(e) => out.attempts.push(Attempt {
-                rung: Rung::Problem3,
-                error: e,
-            }),
-        }
+            Ok(LadderPicks {
+                problem3: sol,
+                problem2: Some(p2),
+            }) => {
+                out.attempts.push(Attempt {
+                    rung: Rung::Problem3,
+                    error: format!("timing unmet: best noise-clean slack {:e} s", sol.slack),
+                });
+                Ok(p2)
+            }
+            Err(e) => {
+                out.attempts.push(Attempt {
+                    rung: Rung::Problem3,
+                    error: e.clone(),
+                });
+                Err(e)
+            }
+        };
         if let Some(rec) = cancelled_record(&budget, &mut out, start) {
             return rec;
         }
 
         // Rung 2 — Problem 2: maximize slack under noise; negative slack
-        // is accepted as a degraded (noise-clean) result.
-        match guarded(|| algo3::optimize_with(ws, work_tree, work_scenario, &cfg.library, &options))
-        {
+        // is accepted as a degraded (noise-clean) result. A DP error is
+        // recorded again: a second run of the same DP under the same
+        // budget would fail the same way.
+        match problem2 {
             Ok(sol) => {
                 let outcome = if sol.slack >= 0.0 {
                     Outcome::Optimized
@@ -1156,6 +1180,89 @@ mod tests {
             "{:?}",
             o.attempts
         );
+    }
+
+    /// `outcome rung | error | rung: error; ...` — the whole ladder
+    /// trace of a record except its wall time and DP statistics.
+    fn ladder_trace(o: &NetOutcome) -> String {
+        let attempts: Vec<String> = o
+            .attempts
+            .iter()
+            .map(|a| format!("{}: {}", a.rung.as_str(), a.error))
+            .collect();
+        format!(
+            "{} {} | {} | {}",
+            o.outcome.as_str(),
+            o.rung.map_or("-", Rung::as_str),
+            o.error.as_deref().unwrap_or("-"),
+            attempts.join("; ")
+        )
+    }
+
+    /// The ladder's error paths, pinned rung by rung: a DP error seen by
+    /// rung 1 is recorded for rung 2 as well, with the same text a second
+    /// DP run would give.
+    #[test]
+    fn ladder_error_paths_are_pinned() {
+        let t = two_pin(20_000.0, 2e-9, 0.8);
+        let s = estimation(&t);
+        let run = |c: &PipelineConfig| optimize_net("golden", &t, &s, c);
+        let mut got = Vec::new();
+
+        let mut c = cfg();
+        c.max_candidates = Some(1);
+        got.push(ladder_trace(&run(&c)));
+
+        let mut c = cfg();
+        c.max_tree_nodes = Some(3);
+        got.push(ladder_trace(&run(&c)));
+
+        let lumped = lumped_pin();
+        got.push(ladder_trace(&optimize_net(
+            "golden",
+            &lumped,
+            &estimation(&lumped),
+            &cfg(),
+        )));
+
+        let mut c = cfg();
+        c.time_limit = Some(Duration::ZERO);
+        got.push(ladder_trace(&run(&c)));
+
+        let token = CancelToken::new();
+        token.cancel(buffopt::CancelReason::Disconnect);
+        let input = NetInput::Parsed {
+            name: "golden".into(),
+            tree: t.clone(),
+            scenario: s.clone(),
+        };
+        got.push(ladder_trace(&optimize_input_with_cancel(
+            &mut DpWorkspace::new(),
+            &input,
+            &cfg(),
+            &token,
+        )));
+
+        let want = [
+            "degraded noise_only | - | \
+             problem3: resource budget exceeded: 10 candidates over cap 1; \
+             problem2: resource budget exceeded: 10 candidates over cap 1",
+            "degraded noise_only | - | \
+             problem3: resource budget exceeded: 41 tree nodes over cap 3; \
+             problem2: resource budget exceeded: 41 tree nodes over cap 3",
+            "infeasible unbuffered | no rung succeeded; unbuffered worst noise headroom \
+             -9.909999999999998e0, slack -1.5099999999999958e-10 s | \
+             problem3: no candidate satisfies all constraints; \
+             problem2: no candidate satisfies all constraints; \
+             noise_only: noise constraints cannot be satisfied (detected at n2)",
+            "infeasible unbuffered | no rung succeeded; unbuffered worst noise headroom \
+             -2.6920000000000005e1, slack -3.548e-9 s | \
+             problem3: deadline exceeded before run finished; \
+             problem2: deadline exceeded before run finished; \
+             noise_only: deadline exceeded before run finished",
+            "failed - | cancelled: disconnect | problem3: cancelled: disconnect",
+        ];
+        assert_eq!(got, want, "\n{}", got.join("\n"));
     }
 
     #[test]
